@@ -650,11 +650,10 @@ struct JobRunner::Impl {
 
   // Checkpoint plumbing shared by the full and delta paths (defined below,
   // next to JobRunner::checkpoint/restore).
-  void write_loop_state(persist::Writer& w);
-  persist::Status read_loop_state(persist::Reader& r, util::Rng& ev_rng,
-                                  util::Rng& loss_rng, bool& has_adv);
-  persist::Status finish_restore(bool has_adv, const util::Rng& ev_rng,
-                                 const util::Rng& loss_rng);
+  template <typename A>
+  void persist_loop_state(A& a);
+  void save(persist::Writer& w, bool delta);
+  persist::Status load(persist::Reader& r, bool delta);
 };
 
 JobRunner::JobRunner(const Scenario& sc, const JobSpec& spec,
@@ -875,133 +874,113 @@ void JobRunner::set_profiler(sim::RoundProfile* p) {
 }
 
 // The full and delta snapshots share everything but the engine payload:
-// JOBR carries the loop state (small, rewritten verbatim in both), ENGB a
-// self-contained kEngine blob, ENGD a kEngineDelta blob extending the
-// engine's checkpoint chain (DESIGN.md D10).
-
-void JobRunner::Impl::write_loop_state(persist::Writer& w) {
-  w.begin_section(persist::tag4("JOBR"));
-  w(spec);
-  w(stage);
-  w(setup_rounds);
-  w(out);
-  w(r0);
-  w(t);
-  w(next_event);
-  w(executed);
-  w(pending);
-  w(msg0);
-  w(drop0);
-  w(adds0);
-  w(dels0);
-  w(resets0);
-  const bool has_adv = adv.has_value();
-  w(has_adv);
-  if (has_adv) {
-    // `sides` and `byz_sets` are reconstructed deterministically; only the
-    // stream states are true dynamic state.
-    w(adv->ev_rng);
-    w(adv->loss_rng);
-  }
-  w(wipe_due);
-  w(wipe_rack);
-  w(byz_open);
-  const bool has_probe = probe != nullptr;
-  w(has_probe);
-  w.end_section();
+// JOBR/OBSR/WKLD/KVDP carry the loop state (small, rewritten verbatim in
+// both), ENGB the engine blob — self-contained (kEngine) or extending the
+// engine's checkpoint chain (kEngineDelta, DESIGN.md D10) — and PROB the
+// probe state. One traversal writes and reads the loop state; on the read
+// side each consistency check latches a Reader failure, which the caller
+// returns as the Status.
+template <typename A>
+void JobRunner::Impl::persist_loop_state(A& a) {
+  constexpr bool kReading = A::kIsReader;
+  persist::section(a, persist::tag4("JOBR"), [&] {
+    JobSpec in = spec;
+    a(in);
+    if (!persist::require(a,
+                          in.index == spec.index && in.family == spec.family &&
+                              in.n_hosts == spec.n_hosts && in.seed == spec.seed,
+                          "checkpoint is for a different job")) {
+      return;
+    }
+    a(stage);
+    a(setup_rounds);
+    a(out);
+    a(r0);
+    a(t);
+    a(next_event);
+    a(executed);
+    a(pending);
+    a(msg0);
+    a(drop0);
+    a(adds0);
+    a(dels0);
+    a(resets0);
+    bool has_adv = !kReading && adv.has_value();
+    a(has_adv);
+    if (has_adv) {
+      // `sides` and `byz_sets` are a pure function of seed, scenario, and
+      // the recipe's id set; only the stream states are dynamic state.
+      if constexpr (kReading) adv.emplace(spec.seed, sc, eng->graph().ids());
+      a(adv->ev_rng);
+      a(adv->loss_rng);
+    }
+    a(wipe_due);
+    a(wipe_rack);
+    a(byz_open);
+    bool has_probe = probe != nullptr;
+    a(has_probe);
+    persist::require(a, has_probe == (probe != nullptr),
+                     "probe configuration differs from the checkpointed job");
+    persist::require(a, next_event <= events.size(),
+                     "event cursor out of range");
+    persist::require(a,
+                     std::all_of(pending.begin(), pending.end(),
+                                 [&](std::uint64_t p) {
+                                   return p < out.events.size();
+                                 }),
+                     "pending event index out of range");
+    persist::require(a, wipe_due.size() == wipe_rack.size(),
+                     "wipe queue vectors out of sync");
+    persist::require(a, byz_open.size() <= sc.byzantine.size(),
+                     "byzantine window cursor out of range");
+    persist::require(a,
+                     std::all_of(byz_open.begin(), byz_open.end(),
+                                 [&](std::uint64_t o) {
+                                   return o <= out.byz_windows.size();
+                                 }),
+                     "byzantine outcome index out of range");
+    // A finished-stage snapshot needs neither: the filter is uninstalled
+    // at finish.
+    if (stage == Stage::kTimeline) {
+      persist::require(a, has_adv, "timeline snapshot without adversary");
+      persist::require(a, byz_open.size() == sc.byzantine.size(),
+                       "byzantine window cursors missing");
+    }
+  });
 
   // Telemetry series recorder (DESIGN.md D12): full dynamic state, so a
   // resumed job's series is bit-for-bit the uninterrupted run's. The flight
   // recorder and profiler are deliberately absent — diagnostic wall-side
   // state, rebuilt fresh by the resuming process.
-  w.begin_section(persist::tag4("OBSR"));
-  const bool has_series = series.has_value();
-  w(has_series);
-  if (has_series) w(*series);
-  w.end_section();
+  persist::section(a, persist::tag4("OBSR"), [&] {
+    bool has_series = series.has_value();
+    a(has_series);
+    if (!persist::require(
+            a, has_series == (sc.series_stride > 0 && stage != Stage::kSetup),
+            "series recorder arming differs from the scenario") ||
+        !has_series) {
+      return;
+    }
+    if constexpr (kReading) series.emplace();
+    a(*series);
+    persist::require(a, series->configured_stride() == sc.series_stride,
+                     "series stride mismatch");
+  });
 
   // Serving workload (DESIGN.md D13): WKLD carries the generator's dynamic
   // state (RNG streams, op counter, in-flight table, cumulative counters);
   // KVDP the data-plane engine as a self-contained blob. The KV blob is
   // always full — even on the delta path — which fattens deltas while a
   // workload runs and so naturally trips the caller's rebase heuristic.
-  w.begin_section(persist::tag4("WKLD"));
-  const bool has_wl = wl.has_value();
-  w(has_wl);
-  if (has_wl) w(*wl);
-  w.end_section();
-  w.begin_section(persist::tag4("KVDP"));
-  if (has_wl) w(wl->engine().checkpoint_blob());
-  w.end_section();
-}
-
-persist::Status JobRunner::Impl::read_loop_state(persist::Reader& r,
-                                                 util::Rng& ev_rng,
-                                                 util::Rng& loss_rng,
-                                                 bool& has_adv) {
-  if (auto s = r.open_section(persist::tag4("JOBR")); !s.ok) return s;
-  JobSpec spec_in;
-  r(spec_in);
-  if (r.ok() && (spec_in.index != spec.index ||
-                 spec_in.family != spec.family ||
-                 spec_in.n_hosts != spec.n_hosts ||
-                 spec_in.seed != spec.seed)) {
-    return persist::Status::failure("checkpoint is for a different job");
-  }
-  r(stage);
-  r(setup_rounds);
-  r(out);
-  r(r0);
-  r(t);
-  r(next_event);
-  r(executed);
-  r(pending);
-  r(msg0);
-  r(drop0);
-  r(adds0);
-  r(dels0);
-  r(resets0);
-  has_adv = false;
-  r(has_adv);
-  if (has_adv) {
-    r(ev_rng);
-    r(loss_rng);
-  }
-  r(wipe_due);
-  r(wipe_rack);
-  r(byz_open);
-  bool has_probe = false;
-  r(has_probe);
-  if (r.ok() && has_probe != (probe != nullptr)) {
-    return persist::Status::failure(
-        "probe configuration differs from the checkpointed job");
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
-
-  if (auto s = r.open_section(persist::tag4("OBSR")); !s.ok) return s;
-  bool has_series = false;
-  r(has_series);
-  if (r.ok() && has_series != (sc.series_stride > 0 && stage != Stage::kSetup)) {
-    return persist::Status::failure(
-        "series recorder arming differs from the scenario");
-  }
-  if (has_series) {
-    series.emplace();
-    r(*series);
-    if (r.ok() && series->configured_stride() != sc.series_stride) {
-      return persist::Status::failure("series stride mismatch");
+  persist::section(a, persist::tag4("WKLD"), [&] {
+    bool has_wl = wl.has_value();
+    a(has_wl);
+    if (!persist::require(
+            a, has_wl == (sc.workload_armed() && stage != Stage::kSetup),
+            "workload arming differs from the scenario") ||
+        !has_wl) {
+      return;
     }
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
-
-  if (auto s = r.open_section(persist::tag4("WKLD")); !s.ok) return s;
-  bool has_wl = false;
-  r(has_wl);
-  if (r.ok() && has_wl != (sc.workload_armed() && stage != Stage::kSetup)) {
-    return persist::Status::failure(
-        "workload arming differs from the scenario");
-  }
-  if (has_wl) {
     if (!wl) {
       // Restore ctor: a bare engine over the same fixed id set; all dynamic
       // state arrives from the archive and the KVDP blob below.
@@ -1009,58 +988,62 @@ persist::Status JobRunner::Impl::read_loop_state(persist::Reader& r,
                  sc.delay);
       if (engine_workers > 1) wl->engine().set_worker_threads(engine_workers);
     }
-    r(*wl);
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (auto s = r.open_section(persist::tag4("KVDP")); !s.ok) return s;
-  if (has_wl) {
-    std::vector<std::uint8_t> blob;
-    r(blob);
-    if (!r.ok()) return r.status();
-    if (auto s = wl->restore_engine(blob); !s.ok) return s;
-    wl->finish_restore();
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
-
-  if (next_event > events.size()) {
-    return persist::Status::failure("event cursor out of range");
-  }
-  for (std::uint64_t p : pending) {
-    if (p >= out.events.size()) {
-      return persist::Status::failure("pending event index out of range");
+    a(*wl);
+  });
+  persist::section(a, persist::tag4("KVDP"), [&] {
+    if (!wl) return;
+    if constexpr (kReading) {
+      std::vector<std::uint8_t> blob;
+      a(blob);
+      if (!a.ok()) return;
+      if (auto s = wl->restore_engine(blob); !s.ok) {
+        a.fail(s.error);
+        return;
+      }
+      wl->finish_restore();
+    } else {
+      a(wl->engine().checkpoint_blob());
     }
-  }
-  if (wipe_due.size() != wipe_rack.size()) {
-    return persist::Status::failure("wipe queue vectors out of sync");
-  }
-  if (byz_open.size() > sc.byzantine.size()) {
-    return persist::Status::failure("byzantine window cursor out of range");
-  }
-  for (std::uint64_t o : byz_open) {
-    if (o > out.byz_windows.size()) {
-      return persist::Status::failure("byzantine outcome index out of range");
-    }
-  }
-  return {};
+  });
 }
 
-persist::Status JobRunner::Impl::finish_restore(bool has_adv,
-                                                const util::Rng& ev_rng,
-                                                const util::Rng& loss_rng) {
+void JobRunner::Impl::save(persist::Writer& w, bool delta) {
+  persist_loop_state(w);
+  w.begin_section(persist::tag4("ENGB"));
+  // Either blob becomes the engine's chain head, so the next delta extends
+  // exactly these bytes.
+  w(delta ? eng->checkpoint_delta_blob() : eng->checkpoint_blob());
+  w.end_section();
+  w.begin_section(persist::tag4("PROB"));
+  if (probe) probe->checkpoint(w);
+  w.end_section();
+}
+
+persist::Status JobRunner::Impl::load(persist::Reader& r, bool delta) {
+  if (auto s = r.validate_sections(); !s.ok) return s;
+  persist_loop_state(r);
+  std::vector<std::uint8_t> blob;
+  persist::section(r, persist::tag4("ENGB"), [&] { r(blob); });
+  if (!r.ok()) return r.status();
+  // A delta verifies its parent content hash against the engine's chain
+  // head; one applied out of order (or to the wrong base) fails here
+  // without mutating the engine. The loop state read above is small and
+  // rewritten whole by the next snapshot, so a failed job restore is simply
+  // retried from scratch by the caller.
+  if (auto s = delta ? eng->restore_delta_blob(blob) : eng->restore_blob(blob);
+      !s.ok) {
+    return s;
+  }
+  if (auto s = r.open_section(persist::tag4("PROB")); !s.ok) return s;
+  if (probe) {
+    if (auto s = probe->restore(r); !s.ok) return s;
+  }
+  if (auto s = r.close_section(); !s.ok) return s;
+
   if (stage == Stage::kTimeline) {
-    // Rebuild the adversary (sides are a pure function of seed/scenario/
-    // ids), then restore the stream states so every future draw continues
-    // exactly where the snapshot left off. A finished-stage snapshot needs
-    // neither: the filter is uninstalled at finish.
-    if (!has_adv) {
-      return persist::Status::failure("timeline snapshot without adversary");
-    }
-    if (byz_open.size() != sc.byzantine.size()) {
-      return persist::Status::failure("byzantine window cursors missing");
-    }
-    adv.emplace(spec.seed, sc, eng->graph().ids());
-    adv->ev_rng = ev_rng;
-    adv->loss_rng = loss_rng;
+    // The adversary's streams were restored above; reinstall the runtime
+    // configuration hanging off it so every future draw continues exactly
+    // where the snapshot left off.
     install_filter();
     install_kv_filter();  // no-op unless the workload (and a window) is live
     // Reinstall the behavior policy for the restored round WITHOUT
@@ -1077,89 +1060,16 @@ persist::Status JobRunner::Impl::finish_restore(bool has_adv,
   return {};
 }
 
-void JobRunner::checkpoint(persist::Writer& w) {
-  Impl& im = *impl_;
-  im.write_loop_state(w);
+void JobRunner::checkpoint(persist::Writer& w) { impl_->save(w, false); }
 
-  w.begin_section(persist::tag4("ENGB"));
-  // checkpoint_blob makes this snapshot the engine's chain head, so a
-  // checkpoint_delta taken later extends exactly these bytes.
-  w(im.eng->checkpoint_blob());
-  w.end_section();
-
-  w.begin_section(persist::tag4("PROB"));
-  if (im.probe) im.probe->checkpoint(w);
-  w.end_section();
-}
-
-void JobRunner::checkpoint_delta(persist::Writer& w) {
-  Impl& im = *impl_;
-  im.write_loop_state(w);
-
-  w.begin_section(persist::tag4("ENGD"));
-  w(im.eng->checkpoint_delta_blob());
-  w.end_section();
-
-  w.begin_section(persist::tag4("PROB"));
-  if (im.probe) im.probe->checkpoint(w);
-  w.end_section();
-}
+void JobRunner::checkpoint_delta(persist::Writer& w) { impl_->save(w, true); }
 
 persist::Status JobRunner::restore(persist::Reader& r) {
-  Impl& im = *impl_;
-  if (auto s = r.validate_sections(); !s.ok) return s;
-
-  bool has_adv = false;
-  util::Rng ev_rng, loss_rng;
-  if (auto s = im.read_loop_state(r, ev_rng, loss_rng, has_adv); !s.ok) {
-    return s;
-  }
-
-  if (auto s = r.open_section(persist::tag4("ENGB")); !s.ok) return s;
-  std::vector<std::uint8_t> blob;
-  r(blob);
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (auto s = im.eng->restore_blob(blob); !s.ok) return s;
-
-  if (auto s = r.open_section(persist::tag4("PROB")); !s.ok) return s;
-  if (im.probe) {
-    if (auto s = im.probe->restore(r); !s.ok) return s;
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (!r.ok()) return r.status();
-
-  return im.finish_restore(has_adv, ev_rng, loss_rng);
+  return impl_->load(r, false);
 }
 
 persist::Status JobRunner::restore_delta(persist::Reader& r) {
-  Impl& im = *impl_;
-  if (auto s = r.validate_sections(); !s.ok) return s;
-
-  bool has_adv = false;
-  util::Rng ev_rng, loss_rng;
-  if (auto s = im.read_loop_state(r, ev_rng, loss_rng, has_adv); !s.ok) {
-    return s;
-  }
-
-  if (auto s = r.open_section(persist::tag4("ENGD")); !s.ok) return s;
-  std::vector<std::uint8_t> blob;
-  r(blob);
-  if (auto s = r.close_section(); !s.ok) return s;
-  // Verifies the parent content hash against the engine's chain head; a
-  // delta applied out of order (or to the wrong base) fails here without
-  // mutating the engine. The loop state read above is small and rewritten
-  // whole by the next snapshot, so a failed job restore is simply retried
-  // from scratch by the caller.
-  if (auto s = im.eng->restore_delta_blob(blob); !s.ok) return s;
-
-  if (auto s = r.open_section(persist::tag4("PROB")); !s.ok) return s;
-  if (im.probe) {
-    if (auto s = im.probe->restore(r); !s.ok) return s;
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (!r.ok()) return r.status();
-
-  return im.finish_restore(has_adv, ev_rng, loss_rng);
+  return impl_->load(r, true);
 }
 
 JobResult run_job(const Scenario& sc, const JobSpec& spec,
@@ -1185,31 +1095,56 @@ std::vector<JobSpec> expand_jobs(const Scenario& sc) {
   return jobs;
 }
 
+namespace {
+
+/// One traversal writes (`Jobs` = const vector) and reads the campaign
+/// file. The embedded scenario text is verified on read, so a stale file
+/// from a different scenario fails loudly instead of resuming nonsense.
+template <typename A, typename Jobs>
+void persist_campaign(A& a, const Scenario& sc, Jobs& jobs) {
+  persist::section(a, persist::tag4("SCEN"), [&] {
+    const std::string want = sc.to_text();
+    std::string text = want;
+    std::uint64_t n = jobs.size();
+    a(text);
+    a(n);
+    if constexpr (A::kIsReader) {
+      if (persist::require(
+              a, text == want,
+              "checkpoint belongs to a different scenario (stale file?)") &&
+          persist::require(a, n == sc.num_jobs(),
+                           "checkpoint job count mismatch")) {
+        jobs.resize(static_cast<std::size_t>(n));
+      }
+    }
+  });
+  for (auto& jc : jobs) {
+    persist::section(a, persist::tag4("JOB "), [&] {
+      a(jc.state);
+      switch (jc.state) {
+        case JobCheckpoint::State::kPending:
+          break;
+        case JobCheckpoint::State::kInProgress:
+          a(jc.snapshot);
+          a(jc.deltas);
+          break;
+        case JobCheckpoint::State::kDone:
+          a(jc.result);
+          break;
+        default:
+          persist::require(a, false, "unknown job state in checkpoint");
+      }
+    });
+  }
+}
+
+}  // namespace
+
 persist::Status write_campaign_checkpoint(
     const std::string& path, const Scenario& sc,
     const std::vector<JobCheckpoint>& jobs) {
   persist::Writer w(persist::BlobKind::kCampaign);
-  w.begin_section(persist::tag4("SCEN"));
-  w(sc.to_text());
-  const std::uint64_t n = jobs.size();
-  w(n);
-  w.end_section();
-  for (const JobCheckpoint& jc : jobs) {
-    w.begin_section(persist::tag4("JOB "));
-    w(jc.state);
-    switch (jc.state) {
-      case JobCheckpoint::State::kPending:
-        break;
-      case JobCheckpoint::State::kInProgress:
-        w(jc.snapshot);
-        w(jc.deltas);
-        break;
-      case JobCheckpoint::State::kDone:
-        w(jc.result);
-        break;
-    }
-    w.end_section();
-  }
+  persist_campaign(w, sc, jobs);
   return persist::write_file(path, w.bytes());
 }
 
@@ -1221,40 +1156,10 @@ persist::Status read_campaign_checkpoint(const std::string& path,
   persist::Reader r(bytes);
   if (auto s = r.expect_header(persist::BlobKind::kCampaign); !s.ok) return s;
   if (auto s = r.validate_sections(); !s.ok) return s;
-  if (auto s = r.open_section(persist::tag4("SCEN")); !s.ok) return s;
-  std::string text;
-  std::uint64_t n = 0;
-  r(text);
-  r(n);
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (r.ok() && text != sc.to_text()) {
-    return persist::Status::failure(
-        "checkpoint belongs to a different scenario (stale file?)");
-  }
-  if (r.ok() && n != sc.num_jobs()) {
-    return persist::Status::failure("checkpoint job count mismatch");
-  }
-  out.assign(static_cast<std::size_t>(n), {});
-  for (JobCheckpoint& jc : out) {
-    if (auto s = r.open_section(persist::tag4("JOB ")); !s.ok) return s;
-    r(jc.state);
-    switch (jc.state) {
-      case JobCheckpoint::State::kPending:
-        break;
-      case JobCheckpoint::State::kInProgress:
-        r(jc.snapshot);
-        r(jc.deltas);
-        break;
-      case JobCheckpoint::State::kDone:
-        r(jc.result);
-        break;
-      default:
-        return persist::Status::failure("unknown job state in checkpoint");
-    }
-    if (auto s = r.close_section(); !s.ok) return s;
-  }
-  if (auto s = r.expect_end(); !s.ok) return s;
-  return r.status();
+  out.clear();
+  persist_campaign(r, sc, out);
+  if (!r.ok()) return r.status();
+  return r.expect_end();
 }
 
 // --- campaign runner ---------------------------------------------------------

@@ -154,8 +154,8 @@ class JobRunner {
   void checkpoint(persist::Writer& w);
   persist::Status restore(persist::Reader& r);
 
-  /// Incremental snapshot (DESIGN.md D10): the same loop state as
-  /// checkpoint(), but the engine payload is a kEngineDelta blob covering
+  /// Incremental snapshot (DESIGN.md D10): the same layout and loop state
+  /// as checkpoint(), but the engine payload is a kEngineDelta blob covering
   /// only the nodes touched since the previous checkpoint/checkpoint_delta
   /// of this runner. Requires a prior full checkpoint (or restore) so the
   /// engine has a chain head; restore_delta() must be applied to a runner

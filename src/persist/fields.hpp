@@ -6,7 +6,7 @@
 // next to the framework — instead of scattered through the domain headers,
 // because the field lists are the on-disk layout: a change to any list (or
 // to the structs mirrored here) is a format change and must bump
-// persist::kFormatVersion. Engine-internal types (calendars, mailboxes,
+// persist::kFormatVersion. Engine-internal types (calendars, envelopes,
 // RNGs, metrics) own member persist_fields instead, since their state is
 // private.
 //

@@ -55,31 +55,21 @@ std::string tag_name(std::uint32_t tag) {
 // this repo emits. A tag missing here is flagged loudly in the dump: either
 // the file is from a newer format or it is not ours.
 const char* tag_note(const std::string& name) {
-  // engine full blob
-  if (name == "GRPH") return "topology graph";
+  // engine blob (full or delta)
+  if (name == "HEAD") return "parent hash + host count";
   if (name == "ENGN") return "engine loop state";
-  if (name == "CALS") return "wakeup/hold calendars";
-  if (name == "MAIL") return "in-flight messages";
-  if (name == "STAT") return "per-host protocol state";
-  if (name == "PUBS") return "published snapshots";
+  if (name == "TOPO") return "topology graph, if changed";
+  if (name == "CALS") return "delivery/hold/wakeup calendars";
+  if (name == "MAIL") return "last round's delivery count";
+  if (name == "NODE") return "touched hosts: state, RNGs, snapshot";
   if (name == "METR") return "run metrics";
   if (name == "PROT") return "protocol extras";
-  // engine delta blob
-  if (name == "DHDR") return "delta chain header";
-  if (name == "DENG") return "delta engine loop state";
-  if (name == "DTOP") return "delta topology edits";
-  if (name == "DCAL") return "delta calendars";
-  if (name == "DMAI") return "delta mail";
-  if (name == "DNOD") return "delta touched hosts";
-  if (name == "DMET") return "delta metrics";
-  if (name == "DPRO") return "delta protocol extras";
   // campaign job / campaign file
   if (name == "JOBR") return "job loop state";
   if (name == "OBSR") return "telemetry series recorder";
   if (name == "WKLD") return "serving workload driver";
   if (name == "KVDP") return "embedded KV data-plane blob";
-  if (name == "ENGB") return "embedded engine blob";
-  if (name == "ENGD") return "embedded engine delta";
+  if (name == "ENGB") return "embedded engine blob (full or delta)";
   if (name == "PROB") return "probe state";
   if (name == "SCEN") return "scenario text";
   if (name == "JOB ") return "per-job checkpoint slot";

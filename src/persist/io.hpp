@@ -77,7 +77,7 @@ enum class BlobKind : std::uint32_t {
   kCampaign = 3,  // a campaign: per-job done/in-progress/pending states
   kFuzz = 4,      // a fuzz run: completed-case prefix of the report
   kRaw = 5,       // free-form (tests)
-  kEngineDelta = 6,  // engine sections touched since a base blob (chained)
+  kEngineDelta = 6,  // kEngine layout, only what changed since its parent
   kJobDelta = 7,     // job loop state + one engine delta (campaign chains)
 };
 
@@ -98,7 +98,10 @@ const char* blob_kind_name(BlobKind k);
 // v6: coverage-guided fuzzing (DESIGN.md D14) — oracle code-path bitmask,
 // fuzz-report coverage counters + feature set, fuzz-blob CORP section
 // (corpus entries, scheduler state, corpus-directory binding).
-inline constexpr std::uint32_t kFormatVersion = 6;
+// v7: one engine layout for full and delta blobs (a full blob is the delta
+// from nothing: HEAD/ENGN/TOPO/CALS/MAIL/NODE/METR/PROT); job and job-delta
+// blobs share one layout too, the embedded engine blob riding ENGB in both.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Section tag from a 4-char mnemonic: tag4("ENGN").
 constexpr std::uint32_t tag4(const char (&s)[5]) {
@@ -390,6 +393,37 @@ void Writer::operator()(const T& v) {
 template <typename T>
 void Reader::operator()(T& v) {
   archive(*this, v);
+}
+
+// --- one traversal for both directions, sections included -------------------
+
+/// Run `body` inside section `tag`: a Writer frames and seals it; a Reader
+/// enters it (tag and CRC checked), skips `body` if that fails, and
+/// requires the payload fully consumed. Reader failures latch in ok().
+template <typename A, typename F>
+void section(A& a, std::uint32_t tag, F&& body) {
+  if constexpr (A::kIsReader) {
+    if (!a.open_section(tag).ok) return;
+    body();
+    (void)a.close_section();
+  } else {
+    a.begin_section(tag);
+    body();
+    a.end_section();
+  }
+}
+
+/// Read-side consistency check inside such a traversal: latch `msg` unless
+/// `cond` holds. Returns whether the traversal may go on (always, when
+/// writing).
+template <typename A>
+bool require(A& a, bool cond, const char* msg) {
+  if constexpr (A::kIsReader) {
+    if (a.ok() && !cond) a.fail(msg);
+    return a.ok();
+  } else {
+    return true;
+  }
 }
 
 // --- files and debugging ----------------------------------------------------

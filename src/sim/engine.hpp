@@ -52,6 +52,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <utility>
@@ -756,13 +757,31 @@ class Engine {
     return {round_ - start, done(*this)};
   }
 
-  // --- checkpoint / deterministic resume (DESIGN.md D9) ---------------------
+  // --- checkpoint / deterministic resume (DESIGN.md D9, D10) ----------------
+  //
+  // One format, one writer, one reader. A *delta* blob serializes what can
+  // have changed since the last blob in this engine's chain: the touched
+  // node set (states, RNG streams, and canonical snapshots of nodes stepped
+  // or externally mutated since), the topology only if it mutated, and the
+  // always-small sections (scalars, calendars, metrics, protocol knobs) in
+  // full. A *full* blob is the delta from nothing: every node touched, the
+  // topology marked changed, no parent. Each delta records the content hash
+  // of its parent blob; restore verifies the hash, so a delta applied
+  // against the wrong base — or out of order — fails loudly.
+  //
+  // Chain discipline: the *_blob helpers maintain the chain head. A delta
+  // must be applied to an engine whose state exactly equals its parent
+  // blob's state (the normal flow: fresh engine, restore_blob(base), then
+  // restore_delta_blob for each delta in order). The raw Writer/Reader
+  // variants exist for embedding; checkpoint() leaves the chain alone, and
+  // restore() breaks it because the blob's bytes (and hash) are unknown to
+  // it.
 
   /// Serialize the complete dynamic simulation state: round counter, the
-  /// three calendars (due rounds and FIFO order verbatim), mailbox arenas,
-  /// topology, every per-node protocol and delay RNG stream, node states and
-  /// public snapshots, the active set, and RunMetrics. A run restored from
-  /// this blob continues with traces, metrics, and derived report bytes
+  /// three calendars (due rounds and FIFO order verbatim), topology, every
+  /// per-node protocol and delay RNG stream, node states and public
+  /// snapshots, the active set, and RunMetrics. A run restored from this
+  /// blob continues with traces, metrics, and derived report bytes
   /// bit-for-bit identical to the uninterrupted run, at any worker count.
   ///
   /// Must be called between rounds (outside step_round). Wall-clock and
@@ -775,48 +794,7 @@ class Engine {
   /// dynamic knobs (e.g. the stabilizer's frozen flag) ride along; protocol
   /// *configuration* (Params, target) is the caller's job — restore onto an
   /// engine rebuilt with the same recipe.
-  void checkpoint(persist::Writer& w) {
-    CHS_CHECK_MSG(pending_adds_.empty() && pending_deletes_.empty(),
-                  "checkpoint must be taken between rounds");
-    w.begin_section(persist::tag4("GRPH"));
-    w(graph_);
-    w.end_section();
-    w.begin_section(persist::tag4("ENGN"));
-    w(round_);
-    w(round_actions_);
-    w(quiescent_streak_);
-    w(step_mode_);
-    w(max_delay_);
-    w(root_rng_);
-    w(rngs_);
-    w(delay_rngs_);
-    w(woken_);
-    w(stepped_);
-    w(dirty_);
-    w.end_section();
-    w.begin_section(persist::tag4("CALS"));
-    w(delayed_);
-    w(holds_);
-    w(wakeups_);
-    w.end_section();
-    w.begin_section(persist::tag4("MAIL"));
-    w(mail_);
-    w.end_section();
-    w.begin_section(persist::tag4("STAT"));
-    w(states_);
-    w.end_section();
-    w.begin_section(persist::tag4("PUBS"));
-    store_.save(w);  // canonical per-node layout, store-independent
-    w.end_section();
-    w.begin_section(persist::tag4("METR"));
-    w(metrics_);
-    w.end_section();
-    w.begin_section(persist::tag4("PROT"));
-    if constexpr (requires(persist::Writer& a) { protocol_.persist_fields(a); }) {
-      w(protocol_);
-    }
-    w.end_section();
-  }
+  void checkpoint(persist::Writer& w) { write_checkpoint(w, /*full=*/true); }
 
   /// Restore a checkpoint taken by checkpoint() onto this engine. The
   /// engine must have been built with the same recipe (same host-id set and
@@ -830,183 +808,15 @@ class Engine {
   /// sequence is `Reader r(bytes); r.expect_header(BlobKind::kEngine);
   /// eng.restore(r);`.
   persist::Status restore(persist::Reader& r) {
-    if (auto s = r.validate_sections(); !s.ok) return s;
-
-    graph::Graph g;
-    if (auto s = r.open_section(persist::tag4("GRPH")); !s.ok) return s;
-    r(g);
-    if (auto s = r.close_section(); !s.ok) return s;
-    if (g.ids() != graph_.ids()) {
-      return persist::Status::failure(
-          "checkpoint host set does not match this engine");
-    }
-    const std::size_t n = graph_.size();
-
-    std::uint64_t round = 0, round_actions = 0, quiescent_streak = 0;
-    StepMode step_mode = StepMode::kAll;
-    std::uint32_t max_delay = 1;
-    util::Rng root_rng;
-    std::vector<util::Rng> rngs, delay_rngs;
-    std::vector<NodeIndex> woken, stepped, dirty;
-    if (auto s = r.open_section(persist::tag4("ENGN")); !s.ok) return s;
-    r(round);
-    r(round_actions);
-    r(quiescent_streak);
-    r(step_mode);
-    r(max_delay);
-    r(root_rng);
-    r(rngs);
-    r(delay_rngs);
-    r(woken);
-    r(stepped);
-    r(dirty);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    CalendarQueue<SendEvent> delayed;
-    CalendarQueue<HoldEvent> holds;
-    CalendarQueue<NodeIndex> wakeups;
-    if (auto s = r.open_section(persist::tag4("CALS")); !s.ok) return s;
-    r(delayed);
-    r(holds);
-    r(wakeups);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    MailboxPool<Message> mail;
-    if (auto s = r.open_section(persist::tag4("MAIL")); !s.ok) return s;
-    r(mail);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    std::vector<NodeState> states;
-    if (auto s = r.open_section(persist::tag4("STAT")); !s.ok) return s;
-    r(states);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    std::vector<PublicState> publics;
-    if (auto s = r.open_section(persist::tag4("PUBS")); !s.ok) return s;
-    r(publics);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    RunMetrics metrics;
-    if (auto s = r.open_section(persist::tag4("METR")); !s.ok) return s;
-    r(metrics);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    if (!r.ok()) return r.status();
-    if (rngs.size() != n || delay_rngs.size() != n || states.size() != n ||
-        publics.size() != n) {
-      return persist::Status::failure("checkpoint node-count mismatch");
-    }
-    // Every restored node index must be in range before commit: the CRCs
-    // reject corruption, but a stale blob with a valid checksum must fail
-    // with a Status here, not index out of bounds in the next round.
-    bool indices_ok = true;
-    for (const auto* idxs : {&woken, &stepped, &dirty}) {
-      for (NodeIndex i : *idxs) indices_ok &= i < n;
-    }
-    delayed.for_each_event([&](const SendEvent& e) { indices_ok &= e.to < n; });
-    holds.for_each_event([&](const HoldEvent& e) { indices_ok &= e.to < n; });
-    wakeups.for_each_event([&](const NodeIndex& i) { indices_ok &= i < n; });
-    if (!indices_ok) {
-      return persist::Status::failure("node index out of range");
-    }
-    if (!mail.consistent_for(n)) {
-      return persist::Status::failure("mailbox arena inconsistent");
-    }
-
-    // Protocol dynamic knobs: staged in a copy when the protocol type
-    // allows it, so a layout mismatch in this last section cannot leave
-    // half-read knobs behind on an otherwise-untouched engine.
-    std::optional<P> staged_protocol;
-    if (auto s = r.open_section(persist::tag4("PROT")); !s.ok) return s;
-    if constexpr (requires(persist::Reader& a) { protocol_.persist_fields(a); }) {
-      if constexpr (std::copy_constructible<P> &&
-                    std::is_copy_assignable_v<P>) {
-        staged_protocol.emplace(protocol_);
-        r(*staged_protocol);
-      } else {
-        r(protocol_);  // non-copyable protocol: reads in place
-      }
-    }
-    if (auto s = r.close_section(); !s.ok) return s;
-    if (!r.ok()) return r.status();
-
-    // --- commit -------------------------------------------------------------
-    if (staged_protocol) protocol_ = std::move(*staged_protocol);
-    graph_ = std::move(g);
-    round_ = round;
-    round_actions_ = round_actions;
-    quiescent_streak_ = quiescent_streak;
-    step_mode_ = step_mode;
-    max_delay_ = max_delay;
-    root_rng_ = root_rng;
-    rngs_ = std::move(rngs);
-    delay_rngs_ = std::move(delay_rngs);
-    woken_ = std::move(woken);
-    stepped_ = std::move(stepped);
-    dirty_ = std::move(dirty);
-    delayed_ = std::move(delayed);
-    holds_ = std::move(holds);
-    wakeups_ = std::move(wakeups);
-    mail_ = std::move(mail);
-    states_ = std::move(states);
-    store_.init(n);
-    for (NodeIndex i = 0; i < n; ++i) store_.store(i, publics[i]);
-    metrics_ = std::move(metrics);
-    woken_mark_.assign(n, 0);
-    for (NodeIndex i : woken_) woken_mark_[i] = 1;
-    dirty_mark_.assign(n, 0);
-    for (NodeIndex i : dirty_) dirty_mark_[i] = 1;
-    topo_changed_ = false;
-    pending_adds_.clear();
-    pending_deletes_.clear();
-    pending_delete_sites_.clear();
-    pending_delete_witnesses_.clear();
-    observed_deltas_.clear();
-    // The blob this reader came from is unknown here, so the incremental
-    // chain is broken: restore_blob() re-establishes it from the bytes.
-    ckpt_dirty_mark_.assign(n, 0);
-    ckpt_dirty_.clear();
-    ckpt_topo_changed_ = false;
-    last_ckpt_hash_ = 0;
-    has_ckpt_base_ = false;
-    // Derived per-node caches (e.g. the stabilizer's fragment geometry) are
-    // recomputed rather than serialized: they are pure functions of the
-    // restored state, and recomputation cannot drift from it.
-    if constexpr (requires(NodeState& st) { protocol_.on_restore(st); }) {
-      for (NodeState& st : states_) protocol_.on_restore(st);
-    }
-    return {};
+    return read_checkpoint(r, /*full=*/true);
   }
-
-  // --- incremental checkpoints (DESIGN.md D10) ------------------------------
-  //
-  // A delta blob serializes only what can have changed since the last blob
-  // in this engine's chain: the touched node set (states, RNG streams, and
-  // canonical snapshots of nodes stepped or externally mutated since), the
-  // topology only if it mutated, and the always-small sections (scalars,
-  // calendars, metrics, protocol knobs) in full. Each delta records the
-  // content hash of its parent blob; restore verifies the hash, so a delta
-  // applied against the wrong base — or out of order — fails loudly.
-  //
-  // Chain discipline: the *_blob helpers below maintain the chain head. A
-  // delta must be applied to an engine whose state exactly equals its
-  // parent blob's state (the normal flow: fresh engine, restore_blob(base),
-  // then restore_delta_blob for each delta in order). The raw Writer/Reader
-  // variants exist for embedding; they deliberately break the chain on the
-  // restore side because the blob's bytes (and hash) are unknown to them.
 
   /// True once this engine has a chain head to extend with deltas.
   bool has_checkpoint_base() const { return has_ckpt_base_; }
 
   /// Full checkpoint as a self-contained kEngine blob; becomes the chain
   /// head (deltas taken afterwards extend it).
-  std::vector<std::uint8_t> checkpoint_blob() {
-    persist::Writer w(persist::BlobKind::kEngine);
-    checkpoint(w);
-    std::vector<std::uint8_t> bytes = w.take();
-    note_ckpt_chain(bytes);
-    return bytes;
-  }
+  std::vector<std::uint8_t> checkpoint_blob() { return write_blob(true); }
 
   /// Incremental checkpoint as a kEngineDelta blob extending the current
   /// chain head; becomes the new head. Requires a prior checkpoint_blob()
@@ -1014,21 +824,12 @@ class Engine {
   std::vector<std::uint8_t> checkpoint_delta_blob() {
     CHS_CHECK_MSG(has_ckpt_base_,
                   "delta checkpoint without a base blob in the chain");
-    persist::Writer w(persist::BlobKind::kEngineDelta);
-    checkpoint_delta(w);
-    std::vector<std::uint8_t> bytes = w.take();
-    note_ckpt_chain(bytes);
-    return bytes;
+    return write_blob(false);
   }
 
   /// Restore a full kEngine blob and make it the chain head.
   persist::Status restore_blob(const std::vector<std::uint8_t>& bytes) {
-    persist::Reader r(bytes);
-    if (auto s = r.expect_header(persist::BlobKind::kEngine); !s.ok) return s;
-    if (auto s = restore(r); !s.ok) return s;
-    if (auto s = r.expect_end(); !s.ok) return s;
-    note_ckpt_chain(bytes);
-    return {};
+    return read_blob(bytes, true);
   }
 
   /// Apply a delta blob. The engine's state must equal the parent blob's
@@ -1036,241 +837,7 @@ class Engine {
   /// on success the delta becomes the new head. Corrupt or mismatched blobs
   /// fail with a Status and leave the engine untouched.
   persist::Status restore_delta_blob(const std::vector<std::uint8_t>& bytes) {
-    persist::Reader r(bytes);
-    if (auto s = r.expect_header(persist::BlobKind::kEngineDelta); !s.ok) {
-      return s;
-    }
-    if (auto s = restore_delta(r); !s.ok) return s;
-    if (auto s = r.expect_end(); !s.ok) return s;
-    note_ckpt_chain(bytes);
-    return {};
-  }
-
-  /// Raw-writer delta checkpoint (see the chain discipline note above).
-  void checkpoint_delta(persist::Writer& w) {
-    CHS_CHECK_MSG(pending_adds_.empty() && pending_deletes_.empty(),
-                  "checkpoint must be taken between rounds");
-    // External mutations still awaiting their publish round (state_mut
-    // between rounds) are part of the touched set too; dirty_ itself rides
-    // in DENG so the pending publish replays after restore.
-    for (NodeIndex i : dirty_) ckpt_mark(i);
-    std::sort(ckpt_dirty_.begin(), ckpt_dirty_.end());
-
-    w.begin_section(persist::tag4("DHDR"));
-    w(last_ckpt_hash_);
-    const std::uint64_t n = graph_.size();
-    w(n);
-    w.end_section();
-    w.begin_section(persist::tag4("DENG"));
-    w(round_);
-    w(round_actions_);
-    w(quiescent_streak_);
-    w(step_mode_);
-    w(max_delay_);
-    w(root_rng_);
-    w(woken_);
-    w(stepped_);
-    w(dirty_);
-    w.end_section();
-    w.begin_section(persist::tag4("DTOP"));
-    w(ckpt_topo_changed_);
-    if (ckpt_topo_changed_) w(graph_);
-    w.end_section();
-    w.begin_section(persist::tag4("DCAL"));
-    w(delayed_);
-    w(holds_);
-    w(wakeups_);
-    w.end_section();
-    w.begin_section(persist::tag4("DMAI"));
-    // Between rounds every box is empty (end_round is the single clear
-    // point); only the last round's delivery count survives.
-    w(mail_.delivered_this_round());
-    w.end_section();
-    w.begin_section(persist::tag4("DNOD"));
-    const std::uint64_t touched = ckpt_dirty_.size();
-    w(touched);
-    PublicState tmp;
-    for (NodeIndex i : ckpt_dirty_) {
-      w(i);
-      w(states_[i]);
-      w(rngs_[i]);
-      w(delay_rngs_[i]);
-      store_.materialize(i, tmp);  // canonical form, store-independent
-      w(tmp);
-    }
-    w.end_section();
-    w.begin_section(persist::tag4("DMET"));
-    w(metrics_);
-    w.end_section();
-    w.begin_section(persist::tag4("DPRO"));
-    if constexpr (requires(persist::Writer& a) { protocol_.persist_fields(a); }) {
-      w(protocol_);
-    }
-    w.end_section();
-  }
-
-  /// Raw-reader delta restore: fully staged, committed only after every
-  /// section read and range check passes — a failure of any kind leaves the
-  /// engine untouched. Breaks the chain head (the caller knows the bytes;
-  /// restore_delta_blob re-establishes it).
-  persist::Status restore_delta(persist::Reader& r) {
-    if (!has_ckpt_base_) {
-      return persist::Status::failure(
-          "delta restore without a base checkpoint");
-    }
-    if (auto s = r.validate_sections(); !s.ok) return s;
-
-    std::uint64_t parent = 0, n_in = 0;
-    if (auto s = r.open_section(persist::tag4("DHDR")); !s.ok) return s;
-    r(parent);
-    r(n_in);
-    if (auto s = r.close_section(); !s.ok) return s;
-    if (r.ok() && parent != last_ckpt_hash_) {
-      return persist::Status::failure(
-          "delta parent hash mismatch: blob does not extend this engine's "
-          "checkpoint chain");
-    }
-    const std::size_t n = graph_.size();
-    if (r.ok() && n_in != n) {
-      return persist::Status::failure("checkpoint node-count mismatch");
-    }
-
-    std::uint64_t round = 0, round_actions = 0, quiescent_streak = 0;
-    StepMode step_mode = StepMode::kAll;
-    std::uint32_t max_delay = 1;
-    util::Rng root_rng;
-    std::vector<NodeIndex> woken, stepped, dirty;
-    if (auto s = r.open_section(persist::tag4("DENG")); !s.ok) return s;
-    r(round);
-    r(round_actions);
-    r(quiescent_streak);
-    r(step_mode);
-    r(max_delay);
-    r(root_rng);
-    r(woken);
-    r(stepped);
-    r(dirty);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    bool topo = false;
-    graph::Graph g;
-    if (auto s = r.open_section(persist::tag4("DTOP")); !s.ok) return s;
-    r(topo);
-    if (topo) r(g);
-    if (auto s = r.close_section(); !s.ok) return s;
-    if (r.ok() && topo && g.ids() != graph_.ids()) {
-      return persist::Status::failure(
-          "checkpoint host set does not match this engine");
-    }
-
-    CalendarQueue<SendEvent> delayed;
-    CalendarQueue<HoldEvent> holds;
-    CalendarQueue<NodeIndex> wakeups;
-    if (auto s = r.open_section(persist::tag4("DCAL")); !s.ok) return s;
-    r(delayed);
-    r(holds);
-    r(wakeups);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    std::uint64_t delivered = 0;
-    if (auto s = r.open_section(persist::tag4("DMAI")); !s.ok) return s;
-    r(delivered);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    struct NodePatch {
-      NodeIndex i = 0;
-      NodeState st{};
-      util::Rng rng, delay_rng;
-      PublicState pub{};
-    };
-    std::vector<NodePatch> patches;
-    if (auto s = r.open_section(persist::tag4("DNOD")); !s.ok) return s;
-    std::uint64_t touched = 0;
-    r(touched);
-    for (std::uint64_t k = 0; k < touched && r.ok(); ++k) {
-      patches.emplace_back();
-      NodePatch& p = patches.back();
-      r(p.i);
-      r(p.st);
-      r(p.rng);
-      r(p.delay_rng);
-      r(p.pub);
-    }
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    RunMetrics metrics;
-    if (auto s = r.open_section(persist::tag4("DMET")); !s.ok) return s;
-    r(metrics);
-    if (auto s = r.close_section(); !s.ok) return s;
-
-    std::optional<P> staged_protocol;
-    if (auto s = r.open_section(persist::tag4("DPRO")); !s.ok) return s;
-    if constexpr (requires(persist::Reader& a) { protocol_.persist_fields(a); }) {
-      if constexpr (std::copy_constructible<P> &&
-                    std::is_copy_assignable_v<P>) {
-        staged_protocol.emplace(protocol_);
-        r(*staged_protocol);
-      } else {
-        r(protocol_);  // non-copyable protocol: reads in place
-      }
-    }
-    if (auto s = r.close_section(); !s.ok) return s;
-    if (!r.ok()) return r.status();
-
-    bool indices_ok = true;
-    for (const auto* idxs : {&woken, &stepped, &dirty}) {
-      for (NodeIndex i : *idxs) indices_ok &= i < n;
-    }
-    for (const NodePatch& p : patches) indices_ok &= p.i < n;
-    delayed.for_each_event([&](const SendEvent& e) { indices_ok &= e.to < n; });
-    holds.for_each_event([&](const HoldEvent& e) { indices_ok &= e.to < n; });
-    wakeups.for_each_event([&](const NodeIndex& i) { indices_ok &= i < n; });
-    if (!indices_ok) {
-      return persist::Status::failure("node index out of range");
-    }
-
-    // --- commit -------------------------------------------------------------
-    if (staged_protocol) protocol_ = std::move(*staged_protocol);
-    if (topo) graph_ = std::move(g);
-    round_ = round;
-    round_actions_ = round_actions;
-    quiescent_streak_ = quiescent_streak;
-    step_mode_ = step_mode;
-    max_delay_ = max_delay;
-    root_rng_ = root_rng;
-    woken_ = std::move(woken);
-    stepped_ = std::move(stepped);
-    dirty_ = std::move(dirty);
-    delayed_ = std::move(delayed);
-    holds_ = std::move(holds);
-    wakeups_ = std::move(wakeups);
-    mail_.reset_empty(n, delivered);
-    for (NodePatch& p : patches) {
-      states_[p.i] = std::move(p.st);
-      rngs_[p.i] = p.rng;
-      delay_rngs_[p.i] = p.delay_rng;
-      store_.store(p.i, p.pub);
-    }
-    metrics_ = std::move(metrics);
-    woken_mark_.assign(n, 0);
-    for (NodeIndex i : woken_) woken_mark_[i] = 1;
-    dirty_mark_.assign(n, 0);
-    for (NodeIndex i : dirty_) dirty_mark_[i] = 1;
-    topo_changed_ = false;
-    pending_adds_.clear();
-    pending_deletes_.clear();
-    pending_delete_sites_.clear();
-    pending_delete_witnesses_.clear();
-    observed_deltas_.clear();
-    clear_ckpt_tracking();
-    has_ckpt_base_ = false;  // see restore_delta_blob
-    last_ckpt_hash_ = 0;
-    // Untouched nodes kept their state — and their derived caches — from the
-    // parent restore; only the patched ones need the post-restore fixup.
-    if constexpr (requires(NodeState& st) { protocol_.on_restore(st); }) {
-      for (const NodePatch& p : patches) protocol_.on_restore(states_[p.i]);
-    }
-    return {};
+    return read_blob(bytes, false);
   }
 
   // --- memory accounting (DESIGN.md D10) ------------------------------------
@@ -1390,6 +957,288 @@ class Engine {
     last_ckpt_hash_ = persist::content_hash(bytes);
     has_ckpt_base_ = true;
     clear_ckpt_tracking();
+  }
+
+  std::vector<std::uint8_t> write_blob(bool full) {
+    persist::Writer w(full ? persist::BlobKind::kEngine
+                           : persist::BlobKind::kEngineDelta);
+    write_checkpoint(w, full);
+    std::vector<std::uint8_t> bytes = w.take();
+    note_ckpt_chain(bytes);
+    return bytes;
+  }
+
+  persist::Status read_blob(const std::vector<std::uint8_t>& bytes,
+                            bool full) {
+    persist::Reader r(bytes);
+    if (auto s = r.expect_header(full ? persist::BlobKind::kEngine
+                                      : persist::BlobKind::kEngineDelta);
+        !s.ok) {
+      return s;
+    }
+    if (auto s = read_checkpoint(r, full); !s.ok) return s;
+    if (auto s = r.expect_end(); !s.ok) return s;
+    note_ckpt_chain(bytes);
+    return {};
+  }
+
+  /// The one blob writer. A full blob is the delta from nothing: no parent,
+  /// topology included, every node touched. Writing a full blob leaves the
+  /// incremental tracking alone, so a raw checkpoint() can probe state
+  /// mid-chain.
+  void write_checkpoint(persist::Writer& w, bool full) {
+    CHS_CHECK_MSG(pending_adds_.empty() && pending_deletes_.empty(),
+                  "checkpoint must be taken between rounds");
+    const std::uint64_t n = graph_.size();
+    std::vector<NodeIndex> all;
+    if (full) {
+      all.resize(n);
+      std::iota(all.begin(), all.end(), NodeIndex{0});
+    } else {
+      // External mutations still awaiting their publish round (state_mut
+      // between rounds) are part of the touched set too; dirty_ itself
+      // rides in ENGN so the pending publish replays after restore.
+      for (NodeIndex i : dirty_) ckpt_mark(i);
+      std::sort(ckpt_dirty_.begin(), ckpt_dirty_.end());
+    }
+    const std::vector<NodeIndex>& touched = full ? all : ckpt_dirty_;
+    const bool topo = full || ckpt_topo_changed_;
+
+    w.begin_section(persist::tag4("HEAD"));
+    w(full ? std::uint64_t{0} : last_ckpt_hash_);  // parent blob's hash
+    w(n);
+    w.end_section();
+    w.begin_section(persist::tag4("ENGN"));
+    w(round_);
+    w(round_actions_);
+    w(quiescent_streak_);
+    w(step_mode_);
+    w(max_delay_);
+    w(root_rng_);
+    w(woken_);
+    w(stepped_);
+    w(dirty_);
+    w.end_section();
+    w.begin_section(persist::tag4("TOPO"));
+    w(topo);
+    if (topo) w(graph_);
+    w.end_section();
+    w.begin_section(persist::tag4("CALS"));
+    w(delayed_);
+    w(holds_);
+    w(wakeups_);
+    w.end_section();
+    w.begin_section(persist::tag4("MAIL"));
+    // Between rounds every box is empty (end_round is the single clear
+    // point); only the last round's delivery count survives.
+    w(mail_.delivered_this_round());
+    w.end_section();
+    w.begin_section(persist::tag4("NODE"));
+    // Column by column, like the engine's own arrays, so a restore stages
+    // each column contiguously.
+    w(touched);
+    for (NodeIndex i : touched) w(states_[i]);
+    for (NodeIndex i : touched) w(rngs_[i]);
+    for (NodeIndex i : touched) w(delay_rngs_[i]);
+    PublicState tmp;
+    for (NodeIndex i : touched) {
+      store_.materialize(i, tmp);  // canonical form, store-independent
+      w(tmp);
+    }
+    w.end_section();
+    w.begin_section(persist::tag4("METR"));
+    w(metrics_);
+    w.end_section();
+    w.begin_section(persist::tag4("PROT"));
+    if constexpr (requires(persist::Writer& a) { protocol_.persist_fields(a); }) {
+      w(protocol_);
+    }
+    w.end_section();
+  }
+
+  /// The one blob reader: fully staged, committed only after every section
+  /// read and range check passes — a failure of any kind leaves the engine
+  /// (and its chain head) untouched. Success breaks the chain head; the
+  /// caller knows the bytes, and read_blob re-establishes it.
+  persist::Status read_checkpoint(persist::Reader& r, bool full) {
+    if (!full && !has_ckpt_base_) {
+      return persist::Status::failure(
+          "delta restore without a base checkpoint");
+    }
+    if (auto s = r.validate_sections(); !s.ok) return s;
+    const std::size_t n = graph_.size();
+
+    std::uint64_t parent = 0, n_in = 0;
+    if (auto s = r.open_section(persist::tag4("HEAD")); !s.ok) return s;
+    r(parent);
+    r(n_in);
+    if (auto s = r.close_section(); !s.ok) return s;
+    if (!full && parent != last_ckpt_hash_) {
+      return persist::Status::failure(
+          "delta parent hash mismatch: blob does not extend this engine's "
+          "checkpoint chain");
+    }
+    if (n_in != n) {
+      return persist::Status::failure("checkpoint node-count mismatch");
+    }
+
+    std::uint64_t round = 0, round_actions = 0, quiescent_streak = 0;
+    StepMode step_mode = StepMode::kAll;
+    std::uint32_t max_delay = 1;
+    util::Rng root_rng;
+    std::vector<NodeIndex> woken, stepped, dirty;
+    if (auto s = r.open_section(persist::tag4("ENGN")); !s.ok) return s;
+    r(round);
+    r(round_actions);
+    r(quiescent_streak);
+    r(step_mode);
+    r(max_delay);
+    r(root_rng);
+    r(woken);
+    r(stepped);
+    r(dirty);
+    if (auto s = r.close_section(); !s.ok) return s;
+
+    bool topo = false;
+    graph::Graph g;
+    if (auto s = r.open_section(persist::tag4("TOPO")); !s.ok) return s;
+    r(topo);
+    if (topo) r(g);
+    if (auto s = r.close_section(); !s.ok) return s;
+    if (topo && g.ids() != graph_.ids()) {
+      return persist::Status::failure(
+          "checkpoint host set does not match this engine");
+    }
+
+    CalendarQueue<SendEvent> delayed;
+    CalendarQueue<HoldEvent> holds;
+    CalendarQueue<NodeIndex> wakeups;
+    if (auto s = r.open_section(persist::tag4("CALS")); !s.ok) return s;
+    r(delayed);
+    r(holds);
+    r(wakeups);
+    if (auto s = r.close_section(); !s.ok) return s;
+
+    std::uint64_t delivered = 0;
+    if (auto s = r.open_section(persist::tag4("MAIL")); !s.ok) return s;
+    r(delivered);
+    if (auto s = r.close_section(); !s.ok) return s;
+
+    std::vector<NodeIndex> touched;
+    std::vector<NodeState> states;
+    std::vector<util::Rng> rngs, delay_rngs;
+    std::vector<PublicState> publics;
+    if (auto s = r.open_section(persist::tag4("NODE")); !s.ok) return s;
+    r(touched);
+    // The writer sorts the touched set. Checked before any node is staged,
+    // it is at most n strictly ascending indices in range — so the staging
+    // below never outgrows the engine, and a full blob, which must replace
+    // everything, touches exactly 0..n-1.
+    bool touched_ok = true;
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      touched_ok &= touched[k] < n && (k == 0 || touched[k - 1] < touched[k]);
+    }
+    if (!touched_ok) {
+      return persist::Status::failure("node index out of range");
+    }
+    if (full && (!topo || touched.size() != n)) {
+      return persist::Status::failure(
+          "full checkpoint does not cover every node");
+    }
+    states.resize(touched.size());
+    rngs.resize(touched.size());
+    delay_rngs.resize(touched.size());
+    publics.resize(touched.size());
+    for (NodeState& st : states) r(st);
+    for (util::Rng& rng : rngs) r(rng);
+    for (util::Rng& rng : delay_rngs) r(rng);
+    for (PublicState& pub : publics) r(pub);
+    if (auto s = r.close_section(); !s.ok) return s;
+
+    RunMetrics metrics;
+    if (auto s = r.open_section(persist::tag4("METR")); !s.ok) return s;
+    r(metrics);
+    if (auto s = r.close_section(); !s.ok) return s;
+
+    // Protocol dynamic knobs: staged in a copy when the protocol type
+    // allows it, so a layout mismatch in this last section cannot leave
+    // half-read knobs behind on an otherwise-untouched engine.
+    std::optional<P> staged_protocol;
+    if (auto s = r.open_section(persist::tag4("PROT")); !s.ok) return s;
+    if constexpr (requires(persist::Reader& a) { protocol_.persist_fields(a); }) {
+      if constexpr (std::copy_constructible<P> &&
+                    std::is_copy_assignable_v<P>) {
+        staged_protocol.emplace(protocol_);
+        r(*staged_protocol);
+      } else {
+        r(protocol_);  // non-copyable protocol: reads in place
+      }
+    }
+    if (auto s = r.close_section(); !s.ok) return s;
+    if (!r.ok()) return r.status();
+
+    // Every restored node index must be in range before commit: the CRCs
+    // reject corruption, but a stale blob with a valid checksum must fail
+    // with a Status here, not index out of bounds in the next round.
+    bool indices_ok = true;
+    for (const auto* idxs : {&woken, &stepped, &dirty}) {
+      for (NodeIndex i : *idxs) indices_ok &= i < n;
+    }
+    delayed.for_each_event([&](const SendEvent& e) { indices_ok &= e.to < n; });
+    holds.for_each_event([&](const HoldEvent& e) { indices_ok &= e.to < n; });
+    wakeups.for_each_event([&](const NodeIndex& i) { indices_ok &= i < n; });
+    if (!indices_ok) {
+      return persist::Status::failure("node index out of range");
+    }
+
+    // --- commit -------------------------------------------------------------
+    if (staged_protocol) protocol_ = std::move(*staged_protocol);
+    if (topo) graph_ = std::move(g);
+    round_ = round;
+    round_actions_ = round_actions;
+    quiescent_streak_ = quiescent_streak;
+    step_mode_ = step_mode;
+    max_delay_ = max_delay;
+    root_rng_ = root_rng;
+    woken_ = std::move(woken);
+    stepped_ = std::move(stepped);
+    dirty_ = std::move(dirty);
+    delayed_ = std::move(delayed);
+    holds_ = std::move(holds);
+    wakeups_ = std::move(wakeups);
+    mail_.reset_empty(n, delivered);
+    // Every snapshot is rewritten: start from an empty store, so the
+    // replaced snapshots leave no garbage behind in its layout.
+    if (full) store_.init(n);
+    for (std::size_t k = 0; k < touched.size(); ++k) {
+      const NodeIndex i = touched[k];
+      states_[i] = std::move(states[k]);
+      rngs_[i] = rngs[k];
+      delay_rngs_[i] = delay_rngs[k];
+      store_.store(i, publics[k]);
+    }
+    metrics_ = std::move(metrics);
+    woken_mark_.assign(n, 0);
+    for (NodeIndex i : woken_) woken_mark_[i] = 1;
+    dirty_mark_.assign(n, 0);
+    for (NodeIndex i : dirty_) dirty_mark_[i] = 1;
+    topo_changed_ = false;
+    pending_adds_.clear();
+    pending_deletes_.clear();
+    pending_delete_sites_.clear();
+    pending_delete_witnesses_.clear();
+    observed_deltas_.clear();
+    clear_ckpt_tracking();
+    has_ckpt_base_ = false;  // see read_blob
+    last_ckpt_hash_ = 0;
+    // Derived per-node caches (e.g. the stabilizer's fragment geometry) are
+    // recomputed rather than serialized: they are pure functions of the
+    // restored state, and recomputation cannot drift from it. Untouched
+    // nodes kept their state — and their caches — from the parent blob.
+    if constexpr (requires(NodeState& st) { protocol_.on_restore(st); }) {
+      for (NodeIndex i : touched) protocol_.on_restore(states_[i]);
+    }
+    return {};
   }
 
   /// Number of shards for a parallel phase over `items` units. One shard

@@ -77,22 +77,11 @@ class MailboxPool {
     touched_.clear();
   }
 
-  /// Checkpoint/restore (DESIGN.md D9). Between rounds every box is empty
-  /// (end_round is the single clear point), but the pool round-trips its
-  /// full structure anyway so the restored arena is exactly the live one.
-  template <typename A>
-  void persist_fields(A& a) {
-    a(boxes_);
-    a(touched_mark_);
-    a(touched_);
-    a(delivered_this_round_);
-  }
-
-  /// Delta-checkpoint restore (DESIGN.md D10): between rounds every box is
+  /// Checkpoint restore (DESIGN.md D9, D10): between rounds every box is
   /// empty and no box is touched — end_round() is the single clear point —
-  /// so an engine delta records only `delivered` and rebuilds the arena.
-  /// Byte-equivalent to restoring the full structure: sizes and counters
-  /// match; only capacities (never serialized) differ.
+  /// so an engine checkpoint records only `delivered` and rebuilds the
+  /// arena. Sizes and counters match the live pool; only capacities (never
+  /// serialized) differ.
   void reset_empty(std::size_t n, std::uint64_t delivered) {
     init(n);
     delivered_this_round_ = delivered;
@@ -106,17 +95,6 @@ class MailboxPool {
                     touched_.capacity() * sizeof(graph::NodeIndex);
     for (const auto& box : boxes_) b += box.capacity() * sizeof(Envelope<M>);
     return b;
-  }
-
-  /// Restore-side structural check (Engine::restore, before commit): the
-  /// arena must be sized for n nodes with every touched index in range,
-  /// or the next deliver() would index out of bounds.
-  bool consistent_for(std::size_t n) const {
-    if (boxes_.size() != n || touched_mark_.size() != n) return false;
-    for (graph::NodeIndex i : touched_) {
-      if (i >= n) return false;
-    }
-    return true;
   }
 
  private:

@@ -26,10 +26,8 @@
 //   void finish_publish();
 //   void store(i, const PublicState&);  // serial overwrite (restore path)
 //   void materialize(i, PublicState&);  // copy node i's snapshot out in the
-//                                       // canonical PublicState form (delta
-//                                       // checkpoints serialize single nodes)
-//   template <W> void save(W&) const;   // canonical serialization: count +
-//                                       // per-node PublicState fields, byte-
+//                                       // canonical PublicState form that
+//                                       // checkpoints serialize: byte-
 //                                       // identical across store layouts and
 //                                       // worker counts
 //   std::size_t live_bytes() const;     // approximate heap footprint
@@ -108,11 +106,6 @@ class VectorSnapshotStore {
 
   void materialize(NodeIndex i, PublicState& out) const {
     out = publics_[i];
-  }
-
-  template <typename W>
-  void save(W& w) const {
-    w(publics_);
   }
 
   std::size_t live_bytes() const {

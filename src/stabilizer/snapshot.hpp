@@ -178,20 +178,6 @@ class SnapshotArena {
     }
   }
 
-  /// Canonical serialization: u64 count + per-node PublicState fields in
-  /// index order — byte-identical to archiving std::vector<PublicState>,
-  /// independent of slab layout and worker count.
-  template <typename W>
-  void save(W& w) const {
-    std::uint64_t n = rows_.size();
-    w(n);
-    PublicState tmp;
-    for (NodeIndex i = 0; i < rows_.size(); ++i) {
-      materialize(i, tmp);
-      w(tmp);
-    }
-  }
-
   std::size_t live_bytes() const {
     std::size_t b = rows_.capacity() * sizeof(HotRow) +
                     slab_.capacity() * sizeof(NodeId);
@@ -206,8 +192,9 @@ class SnapshotArena {
   std::size_t slab_garbage() const { return garbage_; }
   std::uint32_t generation() const { return generation_; }
 
-  /// Copy node i's snapshot out in the canonical PublicState form (the unit
-  /// save() serializes; delta checkpoints serialize single touched nodes).
+  /// Copy node i's snapshot out in the canonical PublicState form: the unit
+  /// engine checkpoints serialize, independent of slab layout and worker
+  /// count.
   void materialize(NodeIndex i, PublicState& out) const {
     const HotRow& r = rows_[i];
     out.id = r.id;

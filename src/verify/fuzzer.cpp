@@ -435,28 +435,33 @@ persist::Status hash_file(const std::string& path, std::uint64_t& out) {
   return {};
 }
 
-persist::Status write_fuzz_checkpoint(const std::string& path,
-                                      std::uint64_t next_case,
-                                      const FuzzReport& partial,
-                                      bool had_corpus_dir,
-                                      const std::vector<std::string>& seed_files,
-                                      const std::vector<std::string>& corpus_files,
-                                      const std::vector<std::uint64_t>& corpus_hashes) {
-  persist::Writer w(persist::BlobKind::kFuzz);
-  w.begin_section(persist::tag4("FUZZ"));
-  w(next_case);
-  w(partial);
-  w.end_section();
+/// One traversal writes (`R` = const FuzzResume) and reads a fuzz
+/// checkpoint; read-side checks latch a Reader failure.
+template <typename A, typename R>
+void persist_fuzz(A& a, R& rs) {
+  persist::section(a, persist::tag4("FUZZ"), [&] {
+    a(rs.next_case);
+    a(rs.partial);
+  });
   // Corpus + scheduler state (DESIGN.md D14): the entries themselves, plus
   // the corpus directory's expected listing/hashes so --resume can verify
   // the on-disk corpus did not drift while the run was interrupted.
-  w.begin_section(persist::tag4("CORP"));
-  w(had_corpus_dir);
-  w(seed_files);
-  w(corpus_files);
-  w(corpus_hashes);
-  w(partial.corpus);
-  w.end_section();
+  persist::section(a, persist::tag4("CORP"), [&] {
+    a(rs.had_corpus_dir);
+    a(rs.seed_files);
+    a(rs.corpus_files);
+    a(rs.corpus_hashes);
+    a(rs.partial.corpus);
+    persist::require(a, rs.corpus_files.size() == rs.corpus_hashes.size(),
+                     "fuzz checkpoint CORP section is inconsistent: file "
+                     "listing and content hashes differ in length");
+  });
+}
+
+persist::Status write_fuzz_checkpoint(const std::string& path,
+                                      const FuzzResume& rs) {
+  persist::Writer w(persist::BlobKind::kFuzz);
+  persist_fuzz(w, rs);
   return persist::write_file(path, w.bytes());
 }
 
@@ -587,30 +592,14 @@ persist::Status read_fuzz_checkpoint(const std::string& path,
   persist::Reader r(bytes);
   if (auto s = r.expect_header(persist::BlobKind::kFuzz); !s.ok) return s;
   if (auto s = r.validate_sections(); !s.ok) return s;
-  if (auto s = r.open_section(persist::tag4("FUZZ")); !s.ok) return s;
-  r(out.next_case);
-  r(out.partial);
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (auto s = r.open_section(persist::tag4("CORP")); !s.ok) return s;
-  r(out.had_corpus_dir);
-  r(out.seed_files);
-  r(out.corpus_files);
-  r(out.corpus_hashes);
-  r(out.partial.corpus);
-  if (auto s = r.close_section(); !s.ok) return s;
-  if (auto s = r.expect_end(); !s.ok) return s;
+  persist_fuzz(r, out);
   if (!r.ok()) return r.status();
+  if (auto s = r.expect_end(); !s.ok) return s;
   if (out.partial.seed != expect_seed) {
     return persist::Status::failure(
         "fuzz checkpoint was recorded under seed " +
         std::to_string(out.partial.seed) + ", not " +
         std::to_string(expect_seed));
-  }
-  if (out.corpus_files.size() != out.corpus_hashes.size()) {
-    return persist::Status::failure(
-        "fuzz checkpoint CORP section is inconsistent: " +
-        std::to_string(out.corpus_files.size()) + " files vs " +
-        std::to_string(out.corpus_hashes.size()) + " hashes");
   }
   return {};
 }
@@ -663,13 +652,15 @@ persist::Status check_corpus_binding(const FuzzResume& rs,
 }
 
 FuzzReport run_fuzz(const FuzzOptions& opt) {
-  FuzzReport rep;
-  std::uint64_t start_case = 0;
+  // The run's resumable state, which a checkpoint holds verbatim.
+  FuzzResume st;
+  FuzzReport& rep = st.partial;
   const bool has_dir = opt.guided && !opt.corpus_dir.empty();
-  std::vector<std::string> seed_files;
+  st.had_corpus_dir = has_dir;
+  std::vector<std::string>& seed_files = st.seed_files;
   std::vector<Scenario> seed_scenarios;
-  std::vector<std::string> corpus_files;     // expected dir listing, sorted
-  std::vector<std::uint64_t> corpus_hashes;  // parallel content hashes
+  std::vector<std::string>& corpus_files = st.corpus_files;
+  std::vector<std::uint64_t>& corpus_hashes = st.corpus_hashes;
 
   const auto load_seed = [&](const std::string& name) {
     std::string err;
@@ -681,20 +672,14 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
   };
 
   if (!opt.resume_path.empty()) {
-    FuzzResume rs;
-    auto s = read_fuzz_checkpoint(opt.resume_path, opt.seed, rs);
+    auto s = read_fuzz_checkpoint(opt.resume_path, opt.seed, st);
     CHS_CHECK_MSG(s.ok, s.error.c_str());
-    // Satellite contract: a checkpoint whose corpus state disagrees with
-    // the on-disk corpus directory is rejected loudly before anything runs.
-    s = check_corpus_binding(rs, has_dir ? opt.corpus_dir : std::string());
+    // A checkpoint whose corpus state disagrees with the on-disk corpus
+    // directory is rejected loudly before anything runs.
+    s = check_corpus_binding(st, has_dir ? opt.corpus_dir : std::string());
     CHS_CHECK_MSG(s.ok, s.error.c_str());
-    CHS_CHECK_MSG(rs.next_case <= opt.budget,
+    CHS_CHECK_MSG(st.next_case <= opt.budget,
                   "fuzz checkpoint already covers the requested budget");
-    rep = std::move(rs.partial);
-    start_case = rs.next_case;
-    seed_files = std::move(rs.seed_files);
-    corpus_files = std::move(rs.corpus_files);
-    corpus_hashes = std::move(rs.corpus_hashes);
     for (const std::string& f : seed_files) load_seed(f);
   } else if (has_dir) {
     std::error_code ec;
@@ -714,7 +699,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
   rep.cases = opt.budget;
   std::set<Feature> seen(rep.features_.begin(), rep.features_.end());
   util::Rng root(opt.seed ^ kFuzzStreamSalt);
-  for (std::uint64_t i = start_case; i < opt.budget; ++i) {
+  for (std::uint64_t i = st.next_case; i < opt.budget; ++i) {
     // Each case draws from its own split stream: extending the budget
     // replays the identical case prefix. Cases execute sequentially at any
     // --jobs (parallelism lives inside the campaign), so corpus evolution
@@ -862,13 +847,12 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
     if (!opt.checkpoint_path.empty()) {
       // Case-granular durability: the file always holds a complete prefix,
       // so an interrupted soak resumes at the next case, never mid-case.
-      const auto s = write_fuzz_checkpoint(opt.checkpoint_path, i + 1, rep,
-                                           has_dir, seed_files, corpus_files,
-                                           corpus_hashes);
+      st.next_case = i + 1;
+      const auto s = write_fuzz_checkpoint(opt.checkpoint_path, st);
       CHS_CHECK_MSG(s.ok, s.error.c_str());
     }
   }
-  return rep;
+  return std::move(rep);
 }
 
 std::string FuzzReport::to_text() const {

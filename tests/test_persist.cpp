@@ -301,11 +301,29 @@ TEST(Reader, ContainerCountsCannotAmplifyAllocation) {
   EXPECT_LE(v.size(), 3u);   // grew only as far as real bytes allowed
 }
 
-TEST(Mailbox, ConsistencyCheckCatchesWrongArenaSize) {
-  sim::MailboxPool<int> mail;
-  mail.init(3);
-  EXPECT_TRUE(mail.consistent_for(3));
-  EXPECT_FALSE(mail.consistent_for(4));
+TEST(EngineCheckpoint, DeltaRelabelledAsFullIsRejected) {
+  // Full and delta blobs share one layout; a full blob is the delta from
+  // nothing. The header kind is outside every section CRC, so a delta
+  // relabelled as kEngine passes framing — restore must still refuse it
+  // rather than leave the untouched nodes' stale state in place.
+  // Converged first: the delta then carries no topology, and is plainly
+  // not a full blob whatever its touched set.
+  auto eng = tree_engine(10, 64, 1);
+  ASSERT_TRUE(eng->run_until(
+                     [](StabEngine& e) { return core::is_converged(e); }, 20000)
+                  .second);
+  (void)eng->checkpoint_blob();
+  eng->step_round();
+  auto delta = eng->checkpoint_delta_blob();
+  const auto kind = static_cast<std::uint32_t>(persist::BlobKind::kEngine);
+  std::memcpy(delta.data() + 12, &kind, sizeof kind);
+
+  auto victim = tree_engine(10, 64, 1);
+  const Fingerprint before = fingerprint(*victim);
+  const auto s = victim->restore_blob(delta);
+  ASSERT_FALSE(s.ok);
+  EXPECT_NE(s.error.find("every node"), std::string::npos) << s.error;
+  EXPECT_EQ(fingerprint(*victim), before);
 }
 
 TEST(Describe, NamesKindAndSections) {
@@ -313,7 +331,7 @@ TEST(Describe, NamesKindAndSections) {
   const auto blob = engine_blob(*eng);
   const std::string d = persist::describe(blob);
   EXPECT_NE(d.find("kind engine"), std::string::npos) << d;
-  for (const char* tag : {"GRPH", "ENGN", "CALS", "MAIL", "STAT", "PUBS",
+  for (const char* tag : {"HEAD", "ENGN", "TOPO", "CALS", "MAIL", "NODE",
                           "METR", "PROT"}) {
     EXPECT_NE(d.find(tag), std::string::npos) << d;
   }

@@ -213,8 +213,9 @@ TEST(DeltaCheckpoint, DescribePrintsDeltaKindAndSections) {
   const Chain c = make_chain(1);
   const std::string d = persist::describe(c.d1);
   EXPECT_NE(d.find("engine-delta"), std::string::npos) << d;
-  for (const char* tag : {"DHDR", "DENG", "DTOP", "DCAL", "DMAI", "DNOD",
-                          "DMET", "DPRO"}) {
+  // One layout for both kinds: a full blob is the delta from nothing.
+  for (const char* tag : {"HEAD", "ENGN", "TOPO", "CALS", "MAIL", "NODE",
+                          "METR", "PROT"}) {
     EXPECT_NE(d.find(tag), std::string::npos) << d;
   }
   EXPECT_EQ(d.find("MISMATCH"), std::string::npos) << d;
@@ -272,11 +273,15 @@ TEST(CampaignDeltaChain, MidJobSnapshotsAreDeltasAndResumeIsByteIdentical) {
   // covers it; this test pins the chain mechanics end to end.
   ASSERT_FALSE(slots[0].deltas.empty());
 
-  campaign::RunOptions resume_opts;
-  resume_opts.resume_path = path;
-  const auto resumed = campaign::run_campaign(sc, resume_opts);
-  EXPECT_EQ(report_bytes(resumed), report_bytes(want))
-      << "resume through a delta chain diverged from the clean run";
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    campaign::RunOptions resume_opts;
+    resume_opts.resume_path = path;
+    resume_opts.engine_workers = workers;
+    const auto resumed = campaign::run_campaign(sc, resume_opts);
+    EXPECT_EQ(report_bytes(resumed), report_bytes(want))
+        << "resume through a delta chain diverged from the clean run at "
+        << workers << " workers";
+  }
 }
 
 }  // namespace
