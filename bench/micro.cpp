@@ -335,30 +335,20 @@ BENCHMARK(BM_OracleRound)->Arg(0)->Arg(1)->Arg(16)
 // engine counters after step_round, so arg 0 (no recorder) must match
 // BM_OracleRound/0 — the unarmed engine has no telemetry code on the hot
 // path at all. Arg > 0 is the sampling stride; stride 1 differentiates
-// the cursor every round (the worst case) and is the overhead the CI
-// bench smoke pins.
+// the engine reading every round (the worst case) and is the overhead the
+// CI bench smoke pins.
 void BM_ObsRound(benchmark::State& state) {
   auto& eng = quiescent_engine(chs::sim::StepMode::kAll);
   const std::uint64_t stride = static_cast<std::uint64_t>(state.range(0));
   std::optional<chs::obs::SeriesRecorder> rec;
-  auto cursor = [&eng] {
-    const auto& m = eng.metrics();
-    chs::obs::SeriesCursor c;
-    c.active = m.nodes_stepped();
-    c.actions = m.round_actions();
-    c.messages = m.messages();
-    c.dropped = m.messages_dropped();
-    c.snapshots = m.snapshots_published();
-    return c;
-  };
   std::uint64_t t = 0;
   if (stride > 0) {
     rec.emplace(stride, /*cap=*/64);
-    rec->prime(cursor());
+    rec->prime(chs::obs::engine_reading(eng.metrics()));
   }
   for (auto _ : state) {
     eng.step_round();
-    if (rec) rec->on_round(t, cursor(), /*windows_open=*/0);
+    if (rec) rec->on_round(t, chs::obs::engine_reading(eng.metrics()));
     ++t;
   }
   if (rec) {

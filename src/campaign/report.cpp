@@ -46,7 +46,7 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-void append_stats_json(std::string& out, const char* key,
+void append_stats_json(std::string& out, const std::string& key,
                        const core::Stats& s) {
   out += '"';
   out += key;
@@ -55,19 +55,37 @@ void append_stats_json(std::string& out, const char* key,
          ", \"p90\": " + fmt_f(s.p90) + ", \"p99\": " + fmt_f(s.p99) + "}";
 }
 
-void add_stats_row(core::Table& t, const char* name, const core::Stats& s) {
+void add_stats_row(core::Table& t, const std::string& name,
+                   const core::Stats& s) {
   t.add_row({name, fmt_f(s.mean), fmt_f(s.min), fmt_f(s.max), fmt_f(s.p50),
              fmt_f(s.p90), fmt_f(s.p99)});
 }
 
-// Fraction of settled ops that completed (vs timed out); 1 when nothing
-// settled. Ops still in flight are in neither bucket, so a window's number
-// reflects only outcomes decided inside it.
-double availability_of(std::uint64_t completed, std::uint64_t timeouts) {
-  const std::uint64_t settled = completed + timeouts;
-  return settled == 0
-             ? 1.0
-             : static_cast<double>(completed) / static_cast<double>(settled);
+// Whether a column of `plane` is in a job's report: workload columns appear
+// only when a workload is armed, so other reports keep their exact bytes.
+bool shown(obs::Plane plane, bool workload) {
+  return plane == obs::Plane::kControl || workload;
+}
+
+// One sample's cells in report order: the closing round, the recorded
+// columns of obs::kSeriesColumns, then the derived ones. Both series
+// writers print exactly these.
+std::vector<std::pair<const char*, std::string>> series_cells(
+    const obs::SeriesSample& s, bool workload) {
+  std::vector<std::pair<const char*, std::string>> cells = {
+      {"round", fmt_u64(s.round)}};
+  for (const obs::SeriesColumn& c : obs::kSeriesColumns) {
+    if (shown(c.plane, workload)) {
+      cells.emplace_back(c.key, fmt_u64(s.*c.field));
+    }
+  }
+  for (const obs::DerivedColumn& c : obs::kDerivedColumns) {
+    if (!shown(c.plane, workload)) continue;
+    const double v = c.of(s);
+    cells.emplace_back(
+        c.key, c.fraction ? fmt_f(v) : fmt_u64(static_cast<std::uint64_t>(v)));
+  }
+  return cells;
 }
 
 }  // namespace
@@ -77,15 +95,24 @@ CampaignReport make_report(const Scenario& sc,
   CampaignReport rep;
   rep.scenario = sc.name;
   rep.jobs = results.size();
-  std::vector<double> rounds, messages, dropped, resets, peak, exps, recov;
+  const auto add = [&](const char* key, auto value_of) {
+    std::vector<double> xs;
+    for (const JobResult& r : results) {
+      xs.push_back(static_cast<double>(value_of(r)));
+    }
+    rep.aggregate.emplace_back(key, core::stats_of(xs));
+  };
+  add("rounds", [](const JobResult& r) { return r.rounds; });
+  add("messages", [](const JobResult& r) { return r.messages; });
+  add("messages_dropped",
+      [](const JobResult& r) { return r.messages_dropped; });
+  add("resets", [](const JobResult& r) { return r.resets; });
+  add("peak_degree", [](const JobResult& r) { return r.peak_degree; });
+  add("degree_expansion",
+      [](const JobResult& r) { return r.degree_expansion; });
+  std::vector<double> recov;
   for (const JobResult& r : results) {
     if (r.converged) ++rep.converged_jobs;
-    rounds.push_back(static_cast<double>(r.rounds));
-    messages.push_back(static_cast<double>(r.messages));
-    dropped.push_back(static_cast<double>(r.messages_dropped));
-    resets.push_back(static_cast<double>(r.resets));
-    peak.push_back(static_cast<double>(r.peak_degree));
-    exps.push_back(r.degree_expansion);
     for (const EventOutcome& e : r.events) {
       ++rep.events_total;
       if (e.recovered) {
@@ -94,13 +121,7 @@ CampaignReport make_report(const Scenario& sc,
       }
     }
   }
-  rep.rounds = core::stats_of(rounds);
-  rep.messages = core::stats_of(messages);
-  rep.messages_dropped = core::stats_of(dropped);
-  rep.resets = core::stats_of(resets);
-  rep.peak_degree = core::stats_of(peak);
-  rep.degree_expansion = core::stats_of(exps);
-  rep.recovery = core::stats_of(recov);
+  rep.aggregate.emplace_back("recovery_rounds", core::stats_of(recov));
   rep.results = std::move(results);
   return rep;
 }
@@ -114,16 +135,10 @@ std::string CampaignReport::to_json() const {
   out += "  \"events\": {\"total\": " + fmt_u64(events_total) +
          ", \"recovered\": " + fmt_u64(events_recovered) + "},\n";
   out += "  \"aggregate\": {\n";
-  const core::Stats* stats[] = {&rounds,      &messages,         &messages_dropped,
-                                &resets,      &peak_degree,      &degree_expansion,
-                                &recovery};
-  const char* keys[] = {"rounds",      "messages",        "messages_dropped",
-                        "resets",      "peak_degree",     "degree_expansion",
-                        "recovery_rounds"};
-  for (std::size_t i = 0; i < 7; ++i) {
+  for (std::size_t i = 0; i < aggregate.size(); ++i) {
     out += "    ";
-    append_stats_json(out, keys[i], *stats[i]);
-    out += i + 1 < 7 ? ",\n" : "\n";
+    append_stats_json(out, aggregate[i].first, aggregate[i].second);
+    out += i + 1 < aggregate.size() ? ",\n" : "\n";
   }
   out += "  },\n";
   out += "  \"per_job\": [\n";
@@ -161,31 +176,17 @@ std::string CampaignReport::to_json() const {
       out += ",\n     \"series\": {\"stride\": " + fmt_u64(r.series_stride) +
              ", \"samples\": [";
       for (std::size_t j = 0; j < r.series.size(); ++j) {
-        const obs::SeriesSample& s = r.series[j];
         if (j) out += ", ";
-        out += "{\"round\": " + fmt_u64(s.round) + ", \"active\": " +
-               fmt_u64(s.active) + ", \"actions\": " + fmt_u64(s.actions) +
-               ", \"messages\": " + fmt_u64(s.messages) + ", \"dropped\": " +
-               fmt_u64(s.dropped) + ", \"snapshots\": " +
-               fmt_u64(s.snapshots) + ", \"contained\": " +
-               fmt_u64(s.contained) + ", \"violations\": " +
-               fmt_u64(s.violations) + ", \"windows_open\": " +
-               fmt_u64(s.windows_open);
-        if (r.workload_armed) {
-          // Per-window serving view (DESIGN.md D13): how the data plane
-          // behaved *during* this window — the "p99 during the churn
-          // burst" answer. Gated on arming so series-only reports keep
-          // their exact prior bytes.
-          out += ", \"issued\": " + fmt_u64(s.ops_issued) +
-                 ", \"completed\": " + fmt_u64(s.ops_completed) +
-                 ", \"timeouts\": " + fmt_u64(s.ops_timeout) +
-                 ", \"retried\": " + fmt_u64(s.ops_retried) +
-                 ", \"inflight\": " + fmt_u64(s.inflight) +
-                 ", \"kv_messages\": " + fmt_u64(s.kv_messages) +
-                 ", \"lat_p50\": " + fmt_u64(obs::lat_quantile(s.lat_hist, 5000)) +
-                 ", \"lat_p99\": " + fmt_u64(obs::lat_quantile(s.lat_hist, 9900)) +
-                 ", \"availability\": " +
-                 fmt_f(availability_of(s.ops_completed, s.ops_timeout));
+        // Workload columns are the per-window serving view (DESIGN.md D13):
+        // how the data plane behaved *during* this window.
+        const char* sep = "{";
+        for (const auto& [key, value] :
+             series_cells(r.series[j], r.workload_armed)) {
+          out += sep;
+          out += '"';
+          out += key;
+          out += "\": " + value;
+          sep = ", ";
         }
         out += "}";
       }
@@ -202,7 +203,7 @@ std::string CampaignReport::to_json() const {
              fmt_u64(r.wl_peak_inflight) + ", \"lat_p50\": " +
              fmt_u64(r.wl_p50) + ", \"lat_p99\": " + fmt_u64(r.wl_p99) +
              ", \"availability\": " +
-             fmt_f(availability_of(r.wl_completed, r.wl_timeouts)) + "}";
+             fmt_f(obs::availability(r.wl_completed, r.wl_timeouts)) + "}";
     }
     if (r.adversary_armed) {
       // Emitted only for jobs with Byzantine windows, so bestiary-free
@@ -265,13 +266,7 @@ core::Table CampaignReport::to_table() const {
 
 core::Table CampaignReport::aggregate_table() const {
   core::Table t({"metric", "mean", "min", "max", "p50", "p90", "p99"});
-  add_stats_row(t, "rounds", rounds);
-  add_stats_row(t, "messages", messages);
-  add_stats_row(t, "messages_dropped", messages_dropped);
-  add_stats_row(t, "resets", resets);
-  add_stats_row(t, "peak_degree", peak_degree);
-  add_stats_row(t, "degree_expansion", degree_expansion);
-  add_stats_row(t, "recovery_rounds", recovery);
+  for (const auto& [key, stats] : aggregate) add_stats_row(t, key, stats);
   return t;
 }
 
@@ -280,36 +275,17 @@ core::Table CampaignReport::series_table() const {
   // CSV for pre-existing scenarios keeps its exact shape.
   bool any_wl = false;
   for (const JobResult& r : results) any_wl = any_wl || r.workload_armed;
-  std::vector<std::string> cols = {"job",       "round",     "active",
-                                   "actions",   "messages",  "dropped",
-                                   "snapshots", "contained", "violations",
-                                   "windows_open"};
-  if (any_wl) {
-    for (const char* c : {"issued", "completed", "timeouts", "retried",
-                          "inflight", "kv_messages", "lat_p50", "lat_p99",
-                          "availability"}) {
-      cols.push_back(c);
-    }
+  std::vector<std::string> cols = {"job"};
+  for (const auto& cell : series_cells(obs::SeriesSample{}, any_wl)) {
+    cols.push_back(cell.first);
   }
   core::Table t(cols);
   for (const JobResult& r : results) {
     if (!r.series_armed) continue;
     for (const obs::SeriesSample& s : r.series) {
-      std::vector<std::string> row = {
-          fmt_u64(r.spec.index), fmt_u64(s.round),      fmt_u64(s.active),
-          fmt_u64(s.actions),    fmt_u64(s.messages),   fmt_u64(s.dropped),
-          fmt_u64(s.snapshots),  fmt_u64(s.contained),  fmt_u64(s.violations),
-          fmt_u64(s.windows_open)};
-      if (any_wl) {
-        row.push_back(fmt_u64(s.ops_issued));
-        row.push_back(fmt_u64(s.ops_completed));
-        row.push_back(fmt_u64(s.ops_timeout));
-        row.push_back(fmt_u64(s.ops_retried));
-        row.push_back(fmt_u64(s.inflight));
-        row.push_back(fmt_u64(s.kv_messages));
-        row.push_back(fmt_u64(obs::lat_quantile(s.lat_hist, 5000)));
-        row.push_back(fmt_u64(obs::lat_quantile(s.lat_hist, 9900)));
-        row.push_back(fmt_f(availability_of(s.ops_completed, s.ops_timeout)));
+      std::vector<std::string> row = {fmt_u64(r.spec.index)};
+      for (auto& cell : series_cells(s, any_wl)) {
+        row.push_back(std::move(cell.second));
       }
       t.add_row(row);
     }

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/scenario.hpp"
@@ -125,14 +126,11 @@ struct CampaignReport {
   std::size_t events_recovered = 0;
   std::vector<JobResult> results;  // job-index order
 
-  // Aggregates across jobs (mean/min/max/p50/p90/p99 each).
-  core::Stats rounds;            // timeline rounds
-  core::Stats messages;
-  core::Stats messages_dropped;
-  core::Stats resets;
-  core::Stats peak_degree;
-  core::Stats degree_expansion;
-  core::Stats recovery;          // per-event recovery latency, all jobs
+  /// Aggregates across jobs (mean/min/max/p50/p90/p99 each), keyed and in
+  /// report order: rounds (timeline), messages, messages_dropped, resets,
+  /// peak_degree, degree_expansion, and recovery_rounds (per-event
+  /// recovery latency over all jobs).
+  std::vector<std::pair<std::string, core::Stats>> aggregate;
 
   /// Wall-clock phase profile summed over every job's rounds (DESIGN.md
   /// D12), populated only under RunOptions::profile. Non-deterministic by

@@ -252,32 +252,21 @@ struct JobRunner::Impl {
     return probe ? probe->adversary_stats().contained : 0;
   }
 
-  /// Cumulative deterministic counters the series recorder differentiates:
-  /// engine metrics plus the probe's violation classification.
-  obs::SeriesCursor series_cursor() const {
-    const auto& m = eng->metrics();
-    obs::SeriesCursor c;
-    c.active = m.nodes_stepped();
-    c.actions = m.round_actions();
-    c.messages = m.messages();
-    c.dropped = m.messages_dropped();
-    c.snapshots = m.snapshots_published();
+  /// The series reading after timeline round `tr`: engine counters, the
+  /// probe's violation classification, the Byzantine windows open during
+  /// `tr`, and the workload's columns.
+  obs::SeriesSample series_reading(std::uint64_t tr) const {
+    obs::SeriesSample r = obs::engine_reading(eng->metrics());
     if (probe) {
       const AdversaryStats st = probe->adversary_stats();
-      c.contained = st.contained;
-      c.violations = st.real;
+      r.contained = st.contained;
+      r.violations = st.real;
     }
-    if (wl) wl->fill_cursor(c);
-    return c;
-  }
-
-  /// Byzantine windows open during timeline round `tr` (series gauge).
-  std::uint64_t windows_open_at(std::uint64_t tr) const {
-    std::uint64_t open = 0;
     for (const ByzantineWindow& w : sc.byzantine) {
-      if (tr >= w.begin && tr < w.end) ++open;
+      if (tr >= w.begin && tr < w.end) ++r.windows_open;
     }
-    return open;
+    if (wl) wl->fill_reading(r);
+    return r;
   }
 
   /// Seed the flight observer's transition cache from current engine state
@@ -563,7 +552,7 @@ struct JobRunner::Impl {
       // Prime the delta baselines at the timeline start so the series
       // covers timeline rounds only (setup cost is not the run's shape).
       series.emplace(sc.series_stride, sc.series_cap);
-      series->prime(series_cursor());
+      series->prime(series_reading(t));
     }
     if (flight) {
       flight->record(eng->round(), obs::FlightKind::kJobStage, 0, 0,
@@ -815,10 +804,7 @@ bool JobRunner::step() {
       // Sample AFTER the round executes, indexed by the round it covers;
       // a checkpoint taken between rounds lands after this call, so the
       // recorder state it saves is exactly "rounds 0..t recorded".
-      if (im.series) {
-        im.series->on_round(im.t, im.series_cursor(), im.windows_open_at(im.t),
-                            im.wl ? im.wl->inflight() : 0);
-      }
+      if (im.series) im.series->on_round(im.t, im.series_reading(im.t));
       if (!im.pending.empty() && core::is_converged(*im.eng)) {
         for (std::uint64_t p : im.pending) {
           im.out.events[p].recovered = true;

@@ -30,6 +30,12 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+// The repo keeps two quantile definitions, one per kind of input:
+//   * core::percentile_of (below) takes the nearest rank over raw samples.
+//     It backs Stats, so the campaign report's aggregates use it.
+//   * obs::lat_quantile (obs/series.hpp) returns the inclusive upper edge
+//     of a log2 bucket. Latency histograms use it: their raw samples are
+//     gone, and bucket counts are what survives series downsampling.
 struct Stats {
   double mean = 0.0;
   double min = 0.0;

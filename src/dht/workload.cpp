@@ -302,13 +302,14 @@ void WorkloadDriver::on_timeline_round(std::uint64_t t,
   drain(t);
 }
 
-void WorkloadDriver::fill_cursor(obs::SeriesCursor& c) const {
-  c.ops_issued = totals_.issued;
-  c.ops_completed = totals_.completed;
-  c.ops_timeout = totals_.timeouts;
-  c.ops_retried = totals_.retries;
-  c.kv_messages = kv_->metrics().messages();
-  c.lat_hist = lat_hist_;
+void WorkloadDriver::fill_reading(obs::SeriesSample& r) const {
+  r.ops_issued = totals_.issued;
+  r.ops_completed = totals_.completed;
+  r.ops_timeout = totals_.timeouts;
+  r.ops_retried = totals_.retries;
+  r.inflight = inflight();
+  r.kv_messages = kv_->metrics().messages();
+  r.lat_hist = lat_hist_;
 }
 
 }  // namespace chs::dht

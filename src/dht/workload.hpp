@@ -121,8 +121,9 @@ class WorkloadDriver {
     return t >= cfg_.end && inflight_.empty();
   }
 
-  /// Merge the workload cumulatives into the job's series cursor.
-  void fill_cursor(obs::SeriesCursor& c) const;
+  /// Fill the workload columns (and the in-flight gauge) of the job's
+  /// series reading.
+  void fill_reading(obs::SeriesSample& r) const;
 
   std::uint64_t inflight() const {
     return static_cast<std::uint64_t>(inflight_.size());

@@ -5,22 +5,6 @@
 #include "util/check.hpp"
 
 namespace chs::obs {
-namespace {
-
-// Element-wise b[i] - a[i] accumulated into out (sizes match or are empty;
-// the cursor's histogram never shrinks).
-void accumulate_hist_delta(std::vector<std::uint64_t>& out,
-                           const std::vector<std::uint64_t>& prev,
-                           const std::vector<std::uint64_t>& cur) {
-  if (cur.empty()) return;
-  if (out.size() < cur.size()) out.resize(cur.size(), 0);
-  for (std::size_t i = 0; i < cur.size(); ++i) {
-    const std::uint64_t base = i < prev.size() ? prev[i] : 0;
-    out[i] += cur[i] - base;
-  }
-}
-
-}  // namespace
 
 std::size_t lat_bucket(std::uint64_t rounds) {
   std::size_t b = 0;
@@ -44,6 +28,30 @@ std::uint64_t lat_quantile(const std::vector<std::uint64_t>& hist,
   return (std::uint64_t{2} << (hist.size() - 1)) - 1;
 }
 
+double availability(std::uint64_t completed, std::uint64_t timeouts) {
+  const std::uint64_t settled = completed + timeouts;
+  return settled == 0
+             ? 1.0
+             : static_cast<double>(completed) / static_cast<double>(settled);
+}
+
+void fold(SeriesSample& into, const SeriesSample& b,
+          const SeriesSample& base) {
+  for (const SeriesColumn& c : kSeriesColumns) {
+    std::uint64_t& v = into.*c.field;
+    v = c.kind == ColumnKind::kCounter ? v + (b.*c.field - base.*c.field)
+                                       : std::max(v, b.*c.field);
+  }
+  // Histogram sizes match or are empty: a reading's never shrinks.
+  if (into.lat_hist.size() < b.lat_hist.size()) {
+    into.lat_hist.resize(b.lat_hist.size(), 0);
+  }
+  for (std::size_t i = 0; i < b.lat_hist.size(); ++i) {
+    into.lat_hist[i] +=
+        b.lat_hist[i] - (i < base.lat_hist.size() ? base.lat_hist[i] : 0);
+  }
+}
+
 SeriesRecorder::SeriesRecorder(std::uint64_t stride, std::uint64_t cap)
     : stride_(stride), cap_(cap), eff_stride_(stride) {
   CHS_CHECK_MSG(stride >= 1, "series stride must be >= 1");
@@ -52,25 +60,9 @@ SeriesRecorder::SeriesRecorder(std::uint64_t stride, std::uint64_t cap)
   samples_.reserve(static_cast<std::size_t>(cap));
 }
 
-void SeriesRecorder::on_round(std::uint64_t t, const SeriesCursor& c,
-                              std::uint64_t windows_open,
-                              std::uint64_t inflight) {
-  bucket_.active += c.active - prev_.active;
-  bucket_.actions += c.actions - prev_.actions;
-  bucket_.messages += c.messages - prev_.messages;
-  bucket_.dropped += c.dropped - prev_.dropped;
-  bucket_.snapshots += c.snapshots - prev_.snapshots;
-  bucket_.contained += c.contained - prev_.contained;
-  bucket_.violations += c.violations - prev_.violations;
-  bucket_.windows_open = std::max(bucket_.windows_open, windows_open);
-  bucket_.ops_issued += c.ops_issued - prev_.ops_issued;
-  bucket_.ops_completed += c.ops_completed - prev_.ops_completed;
-  bucket_.ops_timeout += c.ops_timeout - prev_.ops_timeout;
-  bucket_.ops_retried += c.ops_retried - prev_.ops_retried;
-  bucket_.kv_messages += c.kv_messages - prev_.kv_messages;
-  bucket_.inflight = std::max(bucket_.inflight, inflight);
-  accumulate_hist_delta(bucket_.lat_hist, prev_.lat_hist, c.lat_hist);
-  prev_ = c;
+void SeriesRecorder::on_round(std::uint64_t t, const SeriesSample& reading) {
+  fold(bucket_, reading, prev_);
+  prev_ = reading;
   ++bucket_rounds_;
   if (bucket_rounds_ >= eff_stride_) close_bucket(t);
 }
@@ -87,30 +79,14 @@ void SeriesRecorder::close_bucket(std::uint64_t t) {
   if (samples_.size() < cap_) return;
   // Ring full: merge adjacent pairs (counters sum, gauges max) and double
   // the effective stride. cap_ is a power of two, so the pairing is exact.
+  static const SeriesSample kEmpty;
   std::vector<SeriesSample> merged;
   merged.reserve(samples_.size() / 2);
   for (std::size_t i = 0; i + 1 < samples_.size(); i += 2) {
-    const SeriesSample& a = samples_[i];
-    const SeriesSample& b = samples_[i + 1];
-    SeriesSample m;
-    m.round = b.round;
-    m.active = a.active + b.active;
-    m.actions = a.actions + b.actions;
-    m.messages = a.messages + b.messages;
-    m.dropped = a.dropped + b.dropped;
-    m.snapshots = a.snapshots + b.snapshots;
-    m.contained = a.contained + b.contained;
-    m.violations = a.violations + b.violations;
-    m.windows_open = std::max(a.windows_open, b.windows_open);
-    m.ops_issued = a.ops_issued + b.ops_issued;
-    m.ops_completed = a.ops_completed + b.ops_completed;
-    m.ops_timeout = a.ops_timeout + b.ops_timeout;
-    m.ops_retried = a.ops_retried + b.ops_retried;
-    m.kv_messages = a.kv_messages + b.kv_messages;
-    m.inflight = std::max(a.inflight, b.inflight);
-    m.lat_hist = a.lat_hist;
-    accumulate_hist_delta(m.lat_hist, {}, b.lat_hist);
-    merged.push_back(m);
+    SeriesSample m = samples_[i];
+    fold(m, samples_[i + 1], kEmpty);
+    m.round = samples_[i + 1].round;
+    merged.push_back(std::move(m));
   }
   samples_ = std::move(merged);
   eff_stride_ *= 2;

@@ -101,7 +101,10 @@ const char* blob_kind_name(BlobKind k);
 // v7: one engine layout for full and delta blobs (a full blob is the delta
 // from nothing: HEAD/ENGN/TOPO/CALS/MAIL/NODE/METR/PROT); job and job-delta
 // blobs share one layout too, the embedded engine blob riding ENGB in both.
-inline constexpr std::uint32_t kFormatVersion = 7;
+// v8: the series column table (DESIGN.md D12) — the OBSR delta baseline is
+// a full SeriesSample, and SeriesSample persists `inflight` before
+// `kv_messages`, in report order.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Section tag from a 4-char mnemonic: tag4("ENGN").
 constexpr std::uint32_t tag4(const char (&s)[5]) {

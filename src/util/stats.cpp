@@ -5,37 +5,6 @@
 
 namespace chs::util {
 
-Summary summarize(std::vector<double> xs) {
-  Summary s;
-  s.n = xs.size();
-  if (xs.empty()) return s;
-  std::sort(xs.begin(), xs.end());
-  s.min = xs.front();
-  s.max = xs.back();
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  s.mean = sum / static_cast<double>(xs.size());
-  if (xs.size() >= 2) {
-    double ss = 0.0;
-    for (double x : xs) ss += (x - s.mean) * (x - s.mean);
-    s.stddev = std::sqrt(ss / static_cast<double>(xs.size() - 1));
-  }
-  const std::size_t mid = xs.size() / 2;
-  s.median = xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
-  return s;
-}
-
-double percentile(std::vector<double> xs, double q) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
 PowerFit fit_power(const std::vector<double>& xs,
                    const std::vector<double>& ys) {
   PowerFit fit;

@@ -1,31 +1,15 @@
-// Descriptive statistics and shape-fitting helpers for the benches.
+// Shape fitting for the benches.
 //
 // The paper's claims are asymptotic (O(log² N) rounds, O(log² N) degree
-// expansion); the benches verify *shape*, not absolute constants. The core
-// tool for that is fit_power(): an ordinary least-squares fit of
-// y ≈ c · x^alpha in log-log space, so a bench can report "rounds grow like
+// expansion); the benches verify *shape*, not absolute constants.
+// fit_power() is an ordinary least-squares fit of y ≈ c · x^alpha in
+// log-log space, so a bench can report "rounds grow like
 // (log N)^1.9" next to the theory's exponent 2.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace chs::util {
-
-struct Summary {
-  std::size_t n = 0;
-  double mean = 0.0;
-  double stddev = 0.0;  // sample standard deviation (n-1); 0 when n < 2
-  double min = 0.0;
-  double max = 0.0;
-  double median = 0.0;
-};
-
-Summary summarize(std::vector<double> xs);
-
-/// q-quantile (0 <= q <= 1) by linear interpolation between order
-/// statistics; xs need not be sorted. Undefined (returns 0) on empty input.
-double percentile(std::vector<double> xs, double q);
 
 struct PowerFit {
   double exponent = 0.0;   // alpha in y = c * x^alpha

@@ -488,7 +488,8 @@ TEST(CampaignReport, AggregatesAndSerializesConsistently) {
   EXPECT_EQ(rep.events_total, 4u);
   EXPECT_EQ(rep.events_recovered, 4u);
   // Percentile sanity: min <= p50 <= p90 <= p99 <= max and mean in range.
-  const auto& s = rep.rounds;
+  ASSERT_EQ(rep.aggregate.front().first, "rounds");
+  const auto& s = rep.aggregate.front().second;
   EXPECT_LE(s.min, s.p50);
   EXPECT_LE(s.p50, s.p90);
   EXPECT_LE(s.p90, s.p99);

@@ -5,6 +5,10 @@
 // describe annotations for the new OBSR blob section.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,19 +28,20 @@ namespace {
 using campaign::Scenario;
 using obs::FlightKind;
 using obs::FlightRecorder;
-using obs::SeriesCursor;
 using obs::SeriesRecorder;
+using obs::SeriesSample;
 
 // --- series recorder unit behavior ----------------------------------------
 
 TEST(SeriesRecorder, WindowsAccumulateDeltasAndCloseAtStride) {
   SeriesRecorder rec(2, 8);
-  SeriesCursor c;
-  rec.prime(c);
+  SeriesSample reading;
+  rec.prime(reading);
   auto feed = [&](std::uint64_t t, std::uint64_t dm, std::uint64_t open) {
-    c.messages += dm;
-    c.active += 1;
-    rec.on_round(t, c, open);
+    reading.messages += dm;
+    reading.active += 1;
+    reading.windows_open = open;
+    rec.on_round(t, reading);
   };
   feed(0, 10, 0);
   EXPECT_TRUE(rec.samples().empty());  // window still open
@@ -57,38 +62,66 @@ TEST(SeriesRecorder, WindowsAccumulateDeltasAndCloseAtStride) {
 }
 
 TEST(SeriesRecorder, DownsamplingStaysBoundedAndConservesCounters) {
+  // Every column of the table gets its own increments: counters climb by a
+  // per-column, per-round step; gauges read a per-column value that peaks
+  // once, early, so the peak must survive every pair-merge after it.
+  constexpr std::size_t kCols = std::size(obs::kSeriesColumns);
+  const std::uint64_t kRounds = 64;  // 64 windows into a ring of 4
   SeriesRecorder rec(1, 4);
-  SeriesCursor c;
-  rec.prime(c);
-  const std::uint64_t kRounds = 64;
+  SeriesSample reading;
+  reading.lat_hist.assign(obs::kLatBuckets, 0);
+  rec.prime(reading);
+  std::vector<std::uint64_t> fed(kCols, 0);  // counter total / gauge peak
+  std::vector<std::uint64_t> hist_fed(obs::kLatBuckets, 0);
   for (std::uint64_t t = 0; t < kRounds; ++t) {
-    c.messages += 3;
-    c.active += 1;
-    rec.on_round(t, c, t < 8 ? 1 : 0);
+    for (std::size_t i = 0; i < kCols; ++i) {
+      const obs::SeriesColumn& c = obs::kSeriesColumns[i];
+      if (c.kind == obs::ColumnKind::kCounter) {
+        const std::uint64_t step = (i + 1) * (1 + t % 3);
+        reading.*c.field += step;
+        fed[i] += step;
+      } else {
+        reading.*c.field = t == 5 ? 100 + i : t % (i + 2);
+        fed[i] = std::max(fed[i], reading.*c.field);
+      }
+    }
+    reading.lat_hist[t % obs::kLatBuckets] += t + 1;
+    hist_fed[t % obs::kLatBuckets] += t + 1;
+    rec.on_round(t, reading);
     ASSERT_LE(rec.samples().size(), 4u) << "ring bound violated at t=" << t;
   }
   rec.flush(kRounds - 1);
   ASSERT_LE(rec.samples().size(), 4u);
   ASSERT_GE(rec.samples().size(), 2u);
-  EXPECT_GT(rec.effective_stride(), 1u);  // the stride ladder climbed
+  EXPECT_GE(rec.effective_stride(), 8u);  // several pair-merges happened
   EXPECT_EQ(rec.configured_stride(), 1u);
-  std::uint64_t messages = 0, active = 0, last_round = 0;
-  bool saw_gauge = false;
-  for (std::size_t i = 0; i < rec.samples().size(); ++i) {
-    const auto& s = rec.samples()[i];
-    messages += s.messages;
-    active += s.active;
-    if (i > 0) EXPECT_GT(s.round, last_round);  // still in round order
+  std::vector<std::uint64_t> got(kCols, 0);
+  std::vector<std::uint64_t> hist_got(obs::kLatBuckets, 0);
+  std::uint64_t last_round = 0;
+  for (std::size_t j = 0; j < rec.samples().size(); ++j) {
+    const SeriesSample& s = rec.samples()[j];
+    if (j > 0) {
+      EXPECT_GT(s.round, last_round);  // still in round order
+    }
     last_round = s.round;
-    // Merging takes the max of the gauge, so no merged sample can report
-    // more simultaneous windows than ever existed.
-    EXPECT_LE(s.windows_open, 1u);
-    saw_gauge |= s.windows_open == 1;
+    for (std::size_t i = 0; i < kCols; ++i) {
+      const obs::SeriesColumn& c = obs::kSeriesColumns[i];
+      got[i] = c.kind == obs::ColumnKind::kCounter
+                   ? got[i] + s.*c.field
+                   : std::max(got[i], s.*c.field);
+    }
+    ASSERT_EQ(s.lat_hist.size(), obs::kLatBuckets);
+    for (std::size_t b = 0; b < obs::kLatBuckets; ++b) {
+      hist_got[b] += s.lat_hist[b];
+    }
   }
-  // Counters are deltas: pairwise merging must conserve their totals.
-  EXPECT_EQ(messages, 3 * kRounds);
-  EXPECT_EQ(active, kRounds);
-  EXPECT_TRUE(saw_gauge);  // the early open-window rounds survived merging
+  EXPECT_EQ(last_round, kRounds - 1);
+  // Counters are deltas, so pairwise merging must conserve their totals;
+  // gauges merge by max, so the largest value fed in is what survives.
+  for (std::size_t i = 0; i < kCols; ++i) {
+    EXPECT_EQ(got[i], fed[i]) << obs::kSeriesColumns[i].key;
+  }
+  EXPECT_EQ(hist_got, hist_fed);
 }
 
 // --- flight recorder ring and export ---------------------------------------
@@ -244,6 +277,94 @@ TEST(ObsSeries, JsonBlockGatedOnArming) {
       << "unarmed reports must keep their pre-D12 bytes";
   EXPECT_EQ(off_json.find("\"perf\""), std::string::npos)
       << "wall-clock perf must never appear unarmed";
+}
+
+// The series CSV as printed (header first), split into cells.
+std::vector<std::vector<std::string>> series_csv(
+    const campaign::CampaignReport& rep) {
+  testing::internal::CaptureStdout();
+  rep.series_table().print_csv("series");
+  std::istringstream in(testing::internal::GetCapturedStdout());
+  std::vector<std::vector<std::string>> rows;
+  std::string line;
+  std::getline(in, line);  // "# csv series"
+  while (std::getline(in, line)) {
+    std::vector<std::string> cells;
+    std::istringstream cs(line);
+    for (std::string cell; std::getline(cs, cell, ',');) cells.push_back(cell);
+    rows.push_back(cells);
+  }
+  return rows;
+}
+
+// Every series sample of a JSON report as key -> value text, in job then
+// sample order, with the owning job's index under "job".
+std::vector<std::map<std::string, std::string>> json_samples(
+    const std::string& json) {
+  std::vector<std::map<std::string, std::string>> out;
+  const std::string open = "{\"round\": ", job_key = "{\"job\": ";
+  for (std::size_t at = json.find(open); at != std::string::npos;
+       at = json.find(open, at + 1)) {
+    std::map<std::string, std::string> m;
+    const std::size_t job = json.rfind(job_key, at) + job_key.size();
+    m["job"] = json.substr(job, json.find(',', job) - job);
+    const std::string body = json.substr(at + 1, json.find('}', at) - at - 1);
+    for (std::size_t p = 0; p < body.size();) {
+      std::size_t q = body.find(", ", p);
+      if (q == std::string::npos) q = body.size();
+      const std::string kv = body.substr(p, q - p);
+      const std::size_t colon = kv.find("\": ");
+      m[kv.substr(1, colon - 1)] = kv.substr(colon + 3);
+      p = q + 2;
+    }
+    out.push_back(m);
+  }
+  return out;
+}
+
+void expect_series_csv(const campaign::CampaignReport& rep,
+                       const std::vector<std::string>& header) {
+  const auto csv = series_csv(rep);
+  ASSERT_FALSE(csv.empty());
+  EXPECT_EQ(csv[0], header);
+  const auto samples = json_samples(rep.to_json());
+  ASSERT_FALSE(samples.empty());
+  ASSERT_EQ(csv.size() - 1, samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const auto& row = csv[i + 1];
+    ASSERT_EQ(row.size(), header.size());
+    EXPECT_EQ(samples[i].size(), header.size()) << "sample " << i;
+    for (std::size_t k = 0; k < header.size(); ++k) {
+      const auto it = samples[i].find(header[k]);
+      ASSERT_NE(it, samples[i].end()) << header[k];
+      EXPECT_EQ(row[k], it->second) << "sample " << i << ", " << header[k];
+    }
+  }
+}
+
+TEST(ObsSeries, CsvPinsColumnOrderAndMatchesJsonCellForCell) {
+  util::set_log_level(util::LogLevel::kError);
+  std::vector<std::string> header = {
+      "job",       "round",     "active",     "actions",     "messages",
+      "dropped",   "snapshots", "contained",  "violations",  "windows_open"};
+  Scenario series_only = obs_scenario();
+  series_only.seed_hi = 2;
+  expect_series_csv(campaign::run_campaign(series_only, {}), header);
+
+  for (const char* c : {"issued", "completed", "timeouts", "retried",
+                        "inflight", "kv_messages", "lat_p50", "lat_p99",
+                        "availability"}) {
+    header.push_back(c);
+  }
+  Scenario serving = obs_scenario();
+  serving.name = "obs-serving";
+  serving.seed_hi = 2;
+  serving.serve(0, 40, 6);
+  serving.workload.keys = 256;
+  serving.workload.put_fraction = 0.2;
+  serving.workload.prefill = 256;
+  ASSERT_EQ(serving.validate(), "");
+  expect_series_csv(campaign::run_campaign(serving, {}), header);
 }
 
 TEST(ObsSeries, MidWindowJobCheckpointResumesBitForBit) {

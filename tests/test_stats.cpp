@@ -1,5 +1,5 @@
-// util/stats: descriptive summaries, quantiles, and the log-log power fit
-// the benches use to report growth exponents.
+// util/stats: the log-log power fit the benches use to report growth
+// exponents.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,45 +9,6 @@
 
 namespace chs::util {
 namespace {
-
-TEST(Summarize, EmptyAndSingleton) {
-  const auto e = summarize({});
-  EXPECT_EQ(e.n, 0u);
-  EXPECT_EQ(e.mean, 0.0);
-  const auto s = summarize({42.0});
-  EXPECT_EQ(s.n, 1u);
-  EXPECT_EQ(s.mean, 42.0);
-  EXPECT_EQ(s.median, 42.0);
-  EXPECT_EQ(s.stddev, 0.0);
-  EXPECT_EQ(s.min, 42.0);
-  EXPECT_EQ(s.max, 42.0);
-}
-
-TEST(Summarize, KnownValues) {
-  const auto s = summarize({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0});
-  EXPECT_DOUBLE_EQ(s.mean, 5.0);
-  EXPECT_NEAR(s.stddev, std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(s.median, 4.5);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 9.0);
-}
-
-TEST(Summarize, MedianOddAndEven) {
-  EXPECT_DOUBLE_EQ(summarize({3.0, 1.0, 2.0}).median, 2.0);
-  EXPECT_DOUBLE_EQ(summarize({4.0, 1.0, 2.0, 3.0}).median, 2.5);
-}
-
-TEST(Percentile, EdgesAndInterpolation) {
-  std::vector<double> xs = {10.0, 20.0, 30.0, 40.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0), 40.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 0.5), 25.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 1.0 / 3.0), 20.0);
-  EXPECT_DOUBLE_EQ(percentile({}, 0.5), 0.0);
-  // Out-of-range q clamps.
-  EXPECT_DOUBLE_EQ(percentile(xs, -1.0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 2.0), 40.0);
-}
 
 TEST(FitPower, RecoversExactPowerLaw) {
   std::vector<double> xs, ys;
