@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <functional>
 
 namespace chs::graph {
 
@@ -9,16 +10,21 @@ Graph::Graph(std::vector<NodeId> ids) : ids_(std::move(ids)) {
   CHS_CHECK_MSG(std::adjacent_find(ids_.begin(), ids_.end()) == ids_.end(),
                 "duplicate node ids");
   adj_.resize(ids_.size());
+  build_slots();
 }
 
-bool Graph::contains(NodeId id) const {
-  return std::binary_search(ids_.begin(), ids_.end(), id);
+bool Graph::slots_buildable() const {
+  return adj_.size() == ids_.size() &&
+         std::adjacent_find(ids_.begin(), ids_.end(),
+                            std::greater_equal<>()) == ids_.end() &&
+         (ids_.empty() || ids_.back() < (NodeId{1} << 32));
 }
 
-NodeIndex Graph::index_of(NodeId id) const {
-  auto it = std::lower_bound(ids_.begin(), ids_.end(), id);
-  CHS_CHECK_MSG(it != ids_.end() && *it == id, "unknown node id");
-  return static_cast<NodeIndex>(it - ids_.begin());
+void Graph::build_slots() {
+  // Host ids are a subset of [0, N), so a table sized by the largest id
+  // costs at most N entries.
+  slot_.assign(ids_.empty() ? 0 : ids_.back() + 1, kNoSlot);
+  for (NodeIndex i = 0; i < ids_.size(); ++i) slot_[ids_[i]] = i;
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {

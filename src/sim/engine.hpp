@@ -194,7 +194,8 @@ class NodeCtx {
   /// pointer for the default store, invalid PublicView for arena stores) if
   /// v is not a neighbor. The last lookup is memoized: protocols typically
   /// probe the same neighbor from several checks within one step, and the
-  /// repeat costs two binary searches without the cache.
+  /// repeat costs an is_neighbor binary search over this node's short
+  /// neighbor list without the cache.
   SnapshotView view(NodeId v) const {
     if (v == view_cache_id_) return view_cache_;
     SnapshotView p =
@@ -394,7 +395,7 @@ class Engine {
     store_.publish_now(protocol_, states_[i], i);
     metrics_.count_snapshots(1);
     wake(i);
-    for (NodeId nb : graph_.neighbors(id)) wake(graph_.index_of(nb));
+    for (NodeId nb : graph_.neighbors_at(i)) wake(graph_.index_of(nb));
   }
 
   /// Direct topology mutation for fault injection; bypasses overlay rules.
@@ -1272,7 +1273,7 @@ class Engine {
     ctx.state_ = &states_[i];
     ctx.rng_ = &rngs_[i];
     ctx.inbox_ = mail_.inbox(i);
-    ctx.neighbors_ = &graph_.neighbors(ctx.self_);
+    ctx.neighbors_ = &graph_.neighbors_at(i);
     ctx.engine_ = this;
     ctx.acts_ = &buf;
     protocol_.step(ctx);
@@ -1325,7 +1326,7 @@ class Engine {
     const bool changed =
         store_.publish_compare(protocol_, states_[i], i, slot.scratch, shard);
     if (changed) {
-      for (NodeId nb : graph_.neighbors(graph_.id_of(i))) {
+      for (NodeId nb : graph_.neighbors_at(i)) {
         slot.wake.push_back(graph_.index_of(nb));
       }
     }

@@ -169,7 +169,8 @@ void Protocol::structural_neighbors(const HostState& st,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-NodeId Protocol::deletion_certificate(Ctx& ctx, NodeId v) const {
+NodeId Protocol::deletion_certificate(
+    Ctx& ctx, NodeId v, const std::vector<NodeId>& structural) const {
   // Connectivity certificate: some structural neighbor w currently reports
   // v as its own neighbor, so dropping (me, v) leaves the path me-w-v.
   // The views are one round stale, so the certificate alone is NOT safe:
@@ -179,7 +180,7 @@ NodeId Protocol::deletion_certificate(Ctx& ctx, NodeId v) const {
   // The witness w is therefore returned with the disconnect request and
   // the engine re-validates the path me-w-v against the live graph at
   // apply time, dropping the delete if it has vanished.
-  for (NodeId w : structural_neighbors(ctx.state())) {
+  for (NodeId w : structural) {
     if (w == v || !ctx.is_neighbor(w)) continue;
     const auto view = ctx.view(w);
     if (view && view->has_neighbor(v)) return w;
@@ -221,7 +222,7 @@ void Protocol::classify_and_clean_edges(Ctx& ctx) {
     // new structure mirrors, or via external corruption, which republishes
     // before the next round (DESIGN.md D4).
     if (view->considers_structural(st.id)) continue;
-    if (const NodeId w = deletion_certificate(ctx, v); w != kNone)
+    if (const NodeId w = deletion_certificate(ctx, v, structural); w != kNone)
       ctx.disconnect(v, "protocol-d0", w);
   }
 }

@@ -145,9 +145,11 @@ class Protocol {
   /// dirty node per round and must reuse the snapshot's buffer.
   void structural_neighbors(const HostState& st, std::vector<NodeId>& out) const;
   /// Returns the certificate witness w (path me-w-v in current views), or
-  /// kNone when no certificate exists. The engine re-validates the path at
+  /// kNone when no certificate exists. `structural` is the caller's
+  /// structural_neighbors(ctx.state()). The engine re-validates the path at
   /// apply time — see Ctx::disconnect's witness parameter.
-  NodeId deletion_certificate(Ctx& ctx, NodeId v) const;
+  NodeId deletion_certificate(Ctx& ctx, NodeId v,
+                              const std::vector<NodeId>& structural) const;
   void classify_and_clean_edges(Ctx& ctx);
   std::vector<NodeId> external_neighbors(Ctx& ctx) const;
 

@@ -2,6 +2,7 @@
 
 #include "graph/analysis.hpp"
 #include "graph/graph.hpp"
+#include "persist/io.hpp"
 
 namespace chs::graph {
 namespace {
@@ -67,6 +68,84 @@ TEST(Graph, SameTopology) {
   b.add_edge(2, 3);
   EXPECT_FALSE(a.same_topology(b));
   EXPECT_FALSE(a.same_topology(c));
+}
+
+TEST(Graph, SlotLookupOverSparseIds) {
+  Graph g({5, 1, 9});
+  EXPECT_EQ(g.index_of(1), 0u);
+  EXPECT_EQ(g.index_of(5), 1u);
+  EXPECT_EQ(g.index_of(9), 2u);
+  for (NodeId id : {1, 5, 9}) {
+    EXPECT_TRUE(g.contains(id));
+    EXPECT_EQ(g.id_of(g.index_of(id)), id);
+  }
+  EXPECT_FALSE(g.contains(0));   // below the smallest id
+  EXPECT_FALSE(g.contains(3));   // in a gap
+  EXPECT_FALSE(g.contains(10));  // one past the largest id
+  EXPECT_FALSE(g.contains(~NodeId{0}));
+  EXPECT_FALSE(Graph{}.contains(0));
+}
+
+TEST(GraphDeathTest, IndexOfAbsentIdFails) {
+  Graph g({5, 1, 9});
+  EXPECT_DEATH((void)g.index_of(3), "unknown node id");
+  EXPECT_DEATH((void)g.index_of(10), "unknown node id");
+}
+
+TEST(Graph, PersistRoundTripRebuildsSlots) {
+  Graph g({12, 3, 7, 30});
+  g.add_edge(3, 30);
+  g.add_edge(7, 12);
+  g.add_edge(12, 30);
+  persist::Writer w(persist::BlobKind::kRaw);
+  w.begin_section(persist::tag4("GRPH"));
+  w(g);
+  w.end_section();
+  const auto blob = w.take();
+
+  Graph back;
+  persist::Reader r(blob);
+  ASSERT_TRUE(r.expect_header(persist::BlobKind::kRaw).ok);
+  ASSERT_TRUE(r.open_section(persist::tag4("GRPH")).ok);
+  r(back);
+  ASSERT_TRUE(r.close_section().ok);
+  ASSERT_TRUE(r.ok());
+
+  EXPECT_TRUE(back.same_topology(g));
+  EXPECT_EQ(back.num_edges(), g.num_edges());
+  for (NodeId id : g.ids()) {
+    ASSERT_TRUE(back.contains(id));
+    EXPECT_EQ(back.index_of(id), g.index_of(id));
+    EXPECT_EQ(back.neighbors(id), g.neighbors(id));
+  }
+  EXPECT_FALSE(back.contains(4));
+  EXPECT_FALSE(back.contains(31));
+  EXPECT_TRUE(back.add_edge(3, 7));  // mutations resolve ids through the slots
+  EXPECT_TRUE(back.has_edge(7, 3));
+}
+
+TEST(Graph, PersistReadRejectsIdsTheSlotTableCannotHold) {
+  // Blobs written field by field, as Graph::persist_fields lays them out.
+  const auto read = [](const std::vector<NodeId>& ids, std::size_t lists) {
+    persist::Writer w(persist::BlobKind::kRaw);
+    w.begin_section(persist::tag4("GRPH"));
+    w(ids);
+    w(std::vector<std::vector<NodeId>>(lists));
+    w(std::size_t{0});
+    w.end_section();
+    const auto blob = w.take();
+    Graph g;
+    persist::Reader r(blob);
+    EXPECT_TRUE(r.expect_header(persist::BlobKind::kRaw).ok);
+    EXPECT_TRUE(r.open_section(persist::tag4("GRPH")).ok);
+    r(g);
+    return r.ok();
+  };
+  EXPECT_TRUE(read({1, 5, 9}, 3));
+  EXPECT_FALSE(read({1, NodeId{1} << 40}, 2));  // would be a 4 TiB table
+  EXPECT_FALSE(read({5, 1, 9}, 3));             // unsorted
+  EXPECT_FALSE(read({1, 1}, 2));                // duplicate
+  EXPECT_FALSE(read({1, 5, 9}, 2));             // an id without adjacency
 }
 
 TEST(Analysis, Connectivity) {
