@@ -4,12 +4,13 @@
 // a tree — shatters (every internal node is a cut vertex). Two more views of
 // the same claim: forwarding congestion (the scaffold funnels half of all
 // routes through the top of the tree) and end-to-end read availability of a
-// replicated KV store running in-band over the built overlay.
+// replicated KV store running in-band over the built overlay, measured by
+// the campaign runner's open-loop KV workload.
 #include <cstdio>
 #include <cstdlib>
 
+#include "campaign/runner.hpp"
 #include "core/experiment.hpp"
-#include "dht/kvstore.hpp"
 #include "graph/generators.hpp"
 #include "routing/lookup.hpp"
 #include "util/bitops.hpp"
@@ -91,44 +92,41 @@ int main() {
   }
   cong.print();
 
+  // E7e is examples/scenarios/kv_failover.scn swept over replicas and
+  // fault counts: freeze the converged network, wipe `failed` of the 48
+  // hosts (about 10/20/30%), then issue 64 gets at once against 64
+  // prefilled keys and let the open-loop KV client fail over. Gets start
+  // at round 1 so neighbours already see the victims' down flags.
   std::printf("\nE7e: replicated KV reads after host failures (in-band "
-              "data plane, N=512, 48 hosts, 64 keys)\n\n");
-  core::Table kvt({"replicas", "failed_frac", "reads_ok", "lost", "routing_fail"});
+              "data plane, N=512, 48 hosts, 64 gets per seed, seeds 1-3)\n\n");
+  core::Table kvt(
+      {"replicas", "failed", "issued", "hits", "retried", "timeouts"});
   for (std::uint32_t replicas : {1u, 2u, 3u}) {
-    for (double frac : {0.1, 0.2, 0.3}) {
-      util::Rng r5(2024);
-      auto kv_ids = graph::sample_ids(48, 512, r5);
-      core::Params p;
-      p.n_guests = 512;
-      auto eng = core::make_engine(core::scaffold_graph(kv_ids, 512), p, 6);
-      core::install_legal_cbt(*eng, core::Phase::kChord);
-      if (!core::run_to_convergence(*eng, 100000).converged) continue;
-      dht::KvCluster kv(*eng, replicas, 11);
-      for (std::uint64_t key = 0; key < 64; ++key) kv.put(key, "v");
-      std::vector<graph::NodeId> pool(kv_ids.begin(), kv_ids.end());
-      for (std::size_t i = pool.size(); i > 1; --i) {
-        std::swap(pool[i - 1], pool[r5.next_below(i)]);
-      }
-      const std::size_t kills =
-          static_cast<std::size_t>(frac * static_cast<double>(pool.size()));
-      for (std::size_t i = 0; i < kills; ++i) kv.fail_host(pool[i]);
-      std::size_t ok = 0, lost = 0, route_fail = 0;
-      for (std::uint64_t key = 0; key < 64; ++key) {
-        if (kv.get(key).has_value()) {
-          ++ok;
-          continue;
-        }
-        bool any_live = false;
-        for (graph::NodeId h : kv.holders(key)) {
-          if (!kv.is_down(h)) any_live = true;
-        }
-        ++(any_live ? route_fail : lost);
+    for (std::uint64_t failed : {4u, 9u, 14u}) {
+      campaign::Scenario sc;
+      sc.name = "e7e";
+      sc.n_guests = 512;
+      sc.host_counts = {48};
+      sc.seed_lo = 1;
+      sc.seed_hi = 3;
+      sc.max_rounds = 20000;
+      sc.series(64, 64);  // a workload reports per series window
+      sc.freeze_at(0).fault_at(0, failed).serve(1, 2, 64).thaw_at(200);
+      sc.workload.keys = 64;
+      sc.workload.replicas = replicas;
+      sc.workload.prefill = 64;
+      const auto report = campaign::run_campaign(sc);
+      std::uint64_t issued = 0, hits = 0, retried = 0, timeouts = 0;
+      for (const auto& r : report.results) {
+        issued += r.wl_issued;
+        hits += r.wl_hits;
+        retried += r.wl_retries;
+        timeouts += r.wl_timeouts;
       }
       kvt.add_row({core::Table::fmt(static_cast<std::uint64_t>(replicas)),
-                   core::Table::fmt(frac, 2),
-                   core::Table::fmt(static_cast<std::uint64_t>(ok)),
-                   core::Table::fmt(static_cast<std::uint64_t>(lost)),
-                   core::Table::fmt(static_cast<std::uint64_t>(route_fail))});
+                   core::Table::fmt(failed), core::Table::fmt(issued),
+                   core::Table::fmt(hits), core::Table::fmt(retried),
+                   core::Table::fmt(timeouts)});
     }
   }
   kvt.print();

@@ -5,88 +5,62 @@
 //
 //   1. 56 hosts wake up wired as a random tree (say, after a datacenter
 //      power event) and self-stabilize to Avatar(Chord(512)).
-//   2. A KvCluster snapshots the converged routing tables; every put/get is
-//      a real routed message over the built host network.
-//   3. We store a small user database with 3-way replication, kill a fifth
-//      of the hosts, and read everything back.
+//   2. The campaign runner snapshots the converged routing tables into the
+//      KV data plane and stores a small user database, 3-way replicated.
+//      Every get is a real routed message over the built host network.
+//   3. With the control plane frozen, a fifth of the hosts fail; then every
+//      record is read once, and a get that times out fails over to the next
+//      replica. Thawing lets the survivors reconverge.
+//
+// The same experiment as a scenario file: examples/scenarios/kv_failover.scn.
 #include <cstdio>
-#include <string>
 
-#include "dht/kvstore.hpp"
-#include "graph/generators.hpp"
+#include "campaign/runner.hpp"
 #include "util/log.hpp"
 
 using namespace chs;
 
 int main() {
   util::set_log_level(util::LogLevel::kError);
-  const std::uint64_t n_guests = 512;
   const std::size_t n_hosts = 56;
+  const std::uint64_t n_users = 64;
 
-  // --- 1. stabilize the overlay from an arbitrary connected topology ---
-  util::Rng rng(2024);
-  auto ids = graph::sample_ids(n_hosts, n_guests, rng);
-  core::Params params;
-  params.n_guests = n_guests;
-  auto eng = core::make_engine(graph::make_random_tree(ids, rng), params, 1);
-  const auto res = core::run_to_convergence(*eng, 400000);
+  campaign::Scenario sc;
+  sc.name = "dht-kvstore";
+  sc.n_guests = 512;
+  sc.host_counts = {n_hosts};
+  sc.families = {graph::Family::kRandomTree};
+  sc.seed_lo = sc.seed_hi = 2024;
+  sc.max_rounds = 400000;
+  sc.series(64, 64);  // a workload reports per series window
+  // Round 0: freeze, then fail a fifth of the hosts (their state is wiped,
+  // so they drop out of serving). Round 1: read every record once.
+  sc.freeze_at(0).fault_at(0, n_hosts / 5).serve(1, 2, n_users).thaw_at(200);
+  sc.workload.keys = n_users;
+  sc.workload.replicas = 3;
+  sc.workload.prefill = n_users;
+
+  const campaign::JobResult r =
+      campaign::run_job(sc, campaign::expand_jobs(sc)[0]);
   std::printf("stabilization: converged=%s in %llu rounds (N=%llu, hosts=%zu)\n",
-              res.converged ? "yes" : "NO",
-              static_cast<unsigned long long>(res.rounds),
-              static_cast<unsigned long long>(n_guests), n_hosts);
-  if (!res.converged) return 1;
-
-  // --- 2. hand off to the data plane ---
-  dht::KvCluster kv(*eng, /*n_replicas=*/3, /*seed=*/7);
-
-  // --- 3. a small user database ---
-  const std::size_t n_users = 64;
-  for (std::uint64_t uid = 0; uid < n_users; ++uid) {
-    const std::uint32_t acks =
-        kv.put(uid, "user-" + std::to_string(uid) + "@example.org");
-    if (acks < 3) {
-      std::printf("  put(%llu) reached only %u/3 replicas\n",
-                  static_cast<unsigned long long>(uid), acks);
-    }
-  }
-  std::printf("stored %zu records at 3 replicas each\n", n_users);
-
-  // Kill ~20%% of the hosts (they keep their disks; this is a power loss,
-  // not an evacuation).
-  std::vector<graph::NodeId> pool(ids.begin(), ids.end());
-  for (std::size_t i = pool.size(); i > 1; --i) {
-    std::swap(pool[i - 1], pool[rng.next_below(i)]);
-  }
-  const std::size_t kills = n_hosts / 5;
-  for (std::size_t i = 0; i < kills; ++i) kv.fail_host(pool[i]);
-  std::printf("failed %zu/%zu hosts\n", kills, n_hosts);
-
-  std::size_t ok = 0, lost = 0, routing_failures = 0;
-  for (std::uint64_t uid = 0; uid < n_users; ++uid) {
-    const auto got = kv.get(uid);
-    if (got.has_value() && *got == "user-" + std::to_string(uid) + "@example.org") {
-      ++ok;
-      continue;
-    }
-    // Distinguish true data loss (every replica's host is down — no protocol
-    // can serve this) from a routing failure (a live replica exists but the
-    // read could not reach it).
-    bool any_live = false;
-    for (graph::NodeId h : kv.holders(uid)) {
-      if (!kv.is_down(h)) any_live = true;
-    }
-    ++(any_live ? routing_failures : lost);
-  }
-  const auto& s = kv.stats();
+              r.setup_converged ? "yes" : "NO",
+              static_cast<unsigned long long>(r.setup_rounds),
+              static_cast<unsigned long long>(sc.n_guests), n_hosts);
+  std::printf("stored %llu records at 3 replicas each; failed %zu/%zu hosts\n",
+              static_cast<unsigned long long>(n_users), n_hosts / 5, n_hosts);
   std::printf(
-      "reads after failure: %zu/%zu ok, %zu lost (all replicas down), "
-      "%zu routing failures (retries=%llu, max_hops=%u)\n",
-      ok, n_users, lost, routing_failures,
-      static_cast<unsigned long long>(s.get_retries), s.max_hops);
-  std::printf("data plane totals: %llu puts, %llu gets over %llu rounds\n",
-              static_cast<unsigned long long>(s.puts),
-              static_cast<unsigned long long>(s.gets),
-              static_cast<unsigned long long>(s.rounds));
-  // Success: every key that still has a live replica was served.
-  return routing_failures == 0 ? 0 : 1;
+      "reads after failure: %llu/%llu ok (hits=%llu), %llu timed out "
+      "(retries=%llu, p99<=%llu rounds)\n",
+      static_cast<unsigned long long>(r.wl_completed),
+      static_cast<unsigned long long>(r.wl_issued),
+      static_cast<unsigned long long>(r.wl_hits),
+      static_cast<unsigned long long>(r.wl_timeouts),
+      static_cast<unsigned long long>(r.wl_retries),
+      static_cast<unsigned long long>(r.wl_p99));
+  std::printf("reconverged after thaw: %s in %llu timeline rounds\n",
+              r.converged ? "yes" : "NO",
+              static_cast<unsigned long long>(r.rounds));
+  // Success: the network healed and every read was settled, either served
+  // or counted as a timeout — none went missing.
+  return r.converged && r.wl_completed + r.wl_timeouts == r.wl_issued ? 0 : 1;
 }

@@ -19,12 +19,6 @@ std::uint64_t mix64(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-// Per-attempt client timeout: a greedy route needs at most O(log N) host
-// hops each way; 6(log N + 2) covers there-and-back with slack.
-std::uint64_t attempt_budget(std::uint64_t n_guests) {
-  return 6 * (static_cast<std::uint64_t>(util::ceil_log2(n_guests)) + 2);
-}
-
 // Hard per-message hop cap: routes that lost greedy progress (detours
 // around down hosts, below) circulate at most this long before the drop is
 // surfaced to the client as a timeout.
@@ -232,161 +226,6 @@ std::uint64_t total_drops(const KvEngine& eng) {
     total += st.dropped_ops + st.dropped_msgs;
   }
   return total;
-}
-
-KvCluster::KvCluster(const core::StabEngine& src, std::uint32_t n_replicas,
-                     std::uint64_t seed, std::uint32_t max_message_delay)
-    : n_replicas_(n_replicas), max_delay_(max_message_delay), rng_(seed) {
-  CHS_CHECK(n_replicas >= 1);
-  const std::uint64_t n = src.protocol().params().n_guests;
-  CHS_CHECK_MSG(n_replicas <= n, "more replicas than ring positions");
-  eng_ = make_kv_engine(src, seed, max_delay_);
-}
-
-NodeId KvCluster::pick_live_client() {
-  // A client must own a non-empty range: replies are routed to a guest in
-  // the client's range (reply_home), so a rangeless host cannot hear back.
-  const auto usable = [&](NodeId h) {
-    const auto& st = eng_->state(h);
-    return !st.down && st.lo < st.hi;
-  };
-  const auto& ids = eng_->graph().ids();
-  for (std::size_t attempt = 0; attempt < 4 * ids.size(); ++attempt) {
-    const NodeId h = ids[rng_.next_below(ids.size())];
-    if (usable(h)) return h;
-  }
-  for (NodeId h : ids) {
-    if (usable(h)) return h;
-  }
-  CHS_CHECK_MSG(false, "every host is down");
-  return KvProtocol::kNoneHost;
-}
-
-void KvCluster::purge_completions(NodeId client, std::uint64_t op) {
-  auto& completed = eng_->state_mut(client).completed;
-  if (completed.empty()) return;
-  std::erase_if(completed, [op](const KvProtocol::Message& m) {
-    return m.op_id <= op;
-  });
-}
-
-KvStats KvCluster::stats() const {
-  KvStats s = stats_;
-  s.drops = total_drops(*eng_);
-  return s;
-}
-
-template <typename Pred>
-bool KvCluster::pump(Pred&& done, std::uint64_t budget) {
-  for (std::uint64_t r = 0; r < budget; ++r) {
-    if (done()) return true;
-    eng_->step_round();
-    ++stats_.rounds;
-  }
-  return done();
-}
-
-std::uint32_t KvCluster::put(std::uint64_t key, std::string value) {
-  using Message = KvProtocol::Message;
-  const std::uint64_t n = eng_->protocol().n_guests();
-  std::uint32_t acked = 0;
-  for (std::uint32_t j = 0; j < n_replicas_; ++j) {
-    ++stats_.puts;
-    // A failed attempt is retried once from a different entry host: a
-    // different starting point usually yields a disjoint greedy route.
-    bool ok = false;
-    for (int attempt = 0; attempt < 2 && !ok; ++attempt) {
-      const NodeId client = pick_live_client();
-      const std::uint64_t op = next_op_++;
-      Message m;
-      m.kind = Message::Kind::kPut;
-      m.op_id = op;
-      m.key = key;
-      m.value = value;
-      m.target = replica_guest(key, j, n_replicas_, n);
-      m.origin = client;
-      m.reply_home = eng_->state(client).lo;
-      eng_->state_mut(client).to_send.push_back(std::move(m));
-      ok = pump(
-          [&] {
-            auto c = eng_->state_mut(client).take_completion(
-                op, Message::Kind::kPutAck);
-            if (!c.has_value()) return false;
-            stats_.max_hops = std::max(stats_.max_hops, c->hops);
-            return true;
-          },
-          attempt_budget(n) * max_delay_);
-      purge_completions(client, op);
-    }
-    if (ok) {
-      ++acked;
-      ++stats_.put_acks;
-    }
-  }
-  return acked;
-}
-
-std::optional<std::string> KvCluster::get(std::uint64_t key) {
-  using Message = KvProtocol::Message;
-  const std::uint64_t n = eng_->protocol().n_guests();
-  ++stats_.gets;
-  for (std::uint32_t j = 0; j < n_replicas_; ++j) {
-    if (j > 0) ++stats_.get_retries;
-    // Two attempts per replica position from different entry hosts before
-    // falling through to the next replica.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const NodeId client = pick_live_client();
-      const std::uint64_t op = next_op_++;
-      Message m;
-      m.kind = Message::Kind::kGet;
-      m.op_id = op;
-      m.key = key;
-      m.target = replica_guest(key, j, n_replicas_, n);
-      m.origin = client;
-      m.reply_home = eng_->state(client).lo;
-      eng_->state_mut(client).to_send.push_back(std::move(m));
-      std::optional<std::string> result;
-      bool answered = pump(
-          [&] {
-            auto c = eng_->state_mut(client).take_completion(
-                op, Message::Kind::kGetReply);
-            if (!c.has_value()) return false;
-            if (c->found) result = std::move(c->value);
-            stats_.max_hops = std::max(stats_.max_hops, c->hops);
-            return true;
-          },
-          attempt_budget(n) * max_delay_);
-      purge_completions(client, op);
-      if (result.has_value()) {
-        ++stats_.get_hits;
-        return result;
-      }
-      // A definitive not-found from the responsible host ends this replica
-      // position; a timeout warrants the second attempt.
-      if (answered) break;
-    }
-  }
-  return std::nullopt;
-}
-
-void KvCluster::fail_host(NodeId h) {
-  eng_->state_mut(h).down = true;
-  eng_->republish();
-}
-
-void KvCluster::recover_host(NodeId h) {
-  eng_->state_mut(h).down = false;
-  eng_->republish();
-}
-
-bool KvCluster::is_down(NodeId h) const { return eng_->state(h).down; }
-
-std::vector<NodeId> KvCluster::holders(std::uint64_t key) const {
-  std::vector<NodeId> out;
-  for (NodeId id : eng_->graph().ids()) {
-    if (eng_->state(id).store.count(key) != 0) out.push_back(id);
-  }
-  return out;
 }
 
 }  // namespace chs::dht

@@ -20,6 +20,11 @@
 // knowledge, the standard assumption). A get whose route dead-ends or whose
 // primary is down simply times out at the client, which retries the next
 // replica position.
+//
+// Clients. The one client is the open-loop dht::WorkloadDriver
+// (workload.hpp), armed by a scenario's `workload` directive; this header
+// is the protocol it drives. Host-failure reads are a scenario too
+// (examples/scenarios/kv_failover.scn: freeze + fault + workload).
 #pragma once
 
 #include <cstdint>
@@ -137,64 +142,5 @@ std::unique_ptr<KvEngine> make_kv_engine(const core::StabEngine& src,
 /// Sum of per-host dropped counters (ops cleared on down hosts plus routed
 /// messages swallowed by down hosts).
 std::uint64_t total_drops(const KvEngine& eng);
-
-struct KvStats {
-  std::uint64_t puts = 0, put_acks = 0;
-  std::uint64_t gets = 0, get_hits = 0, get_retries = 0;
-  std::uint64_t drops = 0;  // ops + routed messages lost at down hosts
-  std::uint64_t rounds = 0;
-  std::uint32_t max_hops = 0;
-};
-
-/// Synchronous client facade over a KvEngine: each call issues the op from a
-/// live host, steps the engine until completion or timeout, and handles
-/// replica failover. This is the public API examples use.
-class KvCluster {
- public:
-  /// Snapshot a *converged* stabilizer engine (CHS_CHECKs convergence).
-  /// `max_message_delay` > 1 runs the data plane under the §7 bounded-
-  /// asynchrony model (each message delayed uniformly in [1, d] rounds);
-  /// client timeouts stretch accordingly.
-  KvCluster(const core::StabEngine& src, std::uint32_t n_replicas,
-            std::uint64_t seed, std::uint32_t max_message_delay = 1);
-
-  /// Store key at every replica position; returns how many replicas acked
-  /// (0 means the put failed everywhere reachable).
-  std::uint32_t put(std::uint64_t key, std::string value);
-
-  /// Read, trying replica positions in order until one answers; nullopt
-  /// when every replica timed out or answered not-found.
-  std::optional<std::string> get(std::uint64_t key);
-
-  /// Mark a host down (it keeps its data; a later recover is a warm restart).
-  void fail_host(NodeId h);
-  void recover_host(NodeId h);
-  bool is_down(NodeId h) const;
-
-  /// Hosts currently storing `key`, for tests and introspection.
-  std::vector<NodeId> holders(std::uint64_t key) const;
-
-  std::uint32_t n_replicas() const { return n_replicas_; }
-  /// By value: `drops` is aggregated from per-host counters on each call.
-  KvStats stats() const;
-  KvEngine& engine() { return *eng_; }
-  const KvEngine& engine() const { return *eng_; }
-
- private:
-  NodeId pick_live_client();
-  /// Run until the predicate fires or `budget` rounds pass.
-  template <typename Pred>
-  bool pump(Pred&& done, std::uint64_t budget);
-  /// Drop completion-log entries for this client's finished ops (op ids are
-  /// issued sequentially, so everything at or below `op` is settled).
-  void purge_completions(NodeId client, std::uint64_t op);
-
-  std::unique_ptr<KvEngine> eng_;
-  std::uint32_t n_replicas_;
-  std::uint32_t max_delay_ = 1;
-  std::uint64_t next_op_ = 1;
-  util::Rng rng_;
-  KvStats stats_;
-};
 
 }  // namespace chs::dht

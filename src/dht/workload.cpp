@@ -18,9 +18,9 @@ constexpr std::uint64_t kKvEngineSalt = 0x6b76656e67696e65ULL;   // "kvengine"
 constexpr std::uint64_t kWorkloadSalt = 0x776f726b6c6f6164ULL;   // "workload"
 constexpr std::uint64_t kKvLossSalt = 0x6b766c6f737373ULL;       // "kvloss"
 
-// Mirrors the per-attempt client budget in kvstore.cpp: a greedy route is
-// O(log N) host hops each way, 6(log N + 2) covers there-and-back with
-// slack for detours.
+// Per-attempt client budget: a greedy route is O(log N) host hops each
+// way (kvstore.cpp caps one leg at 4(log N + 2)), so 6(log N + 2) covers
+// there-and-back with slack for detours.
 std::uint64_t auto_timeout(std::uint64_t n_guests, std::uint32_t max_delay) {
   return 6 *
          (static_cast<std::uint64_t>(util::ceil_log2(n_guests)) + 2) *

@@ -1,14 +1,13 @@
 // Open-loop serving workload over the KV data plane (DESIGN.md D13).
 //
-// The synchronous KvCluster facade pumps the whole engine with exactly one
-// op in flight — fine for examples, useless for asking what the paper's
-// overlay actually buys an application *during* churn. The WorkloadDriver
-// replaces that closed loop with an open one: every timeline round it
-// injects `rate` client ops (Zipf key popularity, put/get mix) into a KV
-// engine snapshotted from the converged network, steps that engine exactly
-// one round, and drains completions — so arrival rate never adapts to
-// latency, in-flight ops pile up against slow routes, and per-window
-// latency/availability series mean what an SLO dashboard would mean.
+// The WorkloadDriver is the data plane's only client. It runs open loop so
+// that it can measure what the paper's overlay buys an application *during*
+// churn: every timeline round it injects `rate` client ops (Zipf key
+// popularity, put/get mix) into a KV engine snapshotted from the converged
+// network, steps that engine exactly one round, and drains completions — so
+// arrival rate never adapts to latency, in-flight ops pile up against slow
+// routes, and per-window latency/availability series mean what an SLO
+// dashboard would mean.
 //
 // Determinism contract (the campaign bar): all randomness comes from salted
 // streams split from the job seed, the in-flight table is an ordered map,

@@ -1,10 +1,14 @@
-// The replicated key-value store over the stabilized overlay: placement
-// determinism, put/get roundtrips as real in-band messages, the replication
-// invariant, and failover when hosts go down.
+// The replicated key-value store over the stabilized overlay, tested at
+// the protocol level: placement determinism, put/get roundtrips as real
+// in-band messages, the replication invariant, routing around down hosts,
+// and bounded asynchrony. Client-side failover (retrying the next replica)
+// belongs to dht::WorkloadDriver and is tested in test_workload.cpp.
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "avatar/range.hpp"
 #include "dht/kvstore.hpp"
@@ -17,7 +21,7 @@ constexpr std::uint64_t kGuests = 256;
 constexpr std::size_t kHosts = 48;
 
 // One converged stabilizer run shared by every test in this file (building
-// it is the expensive part; the KvCluster snapshot is cheap).
+// it is the expensive part; the KV snapshot is cheap).
 const core::StabEngine& converged_engine() {
   static const auto eng = [] {
     util::Rng rng(404);
@@ -72,163 +76,308 @@ TEST(Placement, ReplicaPositionsAreSpacedAndDistinct) {
   }
 }
 
+using Message = KvProtocol::Message;
+constexpr Message::Kind kPut = Message::Kind::kPut;
+constexpr Message::Kind kGet = Message::Kind::kGet;
+
+// One client op, end to end: queue `m` on `client`'s to_send and step the
+// plane until its ack or reply reaches the client, or `budget` rounds pass.
+// No retry, no client picking, no stats: failover is the driver's job.
+std::optional<Message> roundtrip(KvEngine& kv, graph::NodeId client, Message m,
+                                 std::uint64_t budget = 64) {
+  static std::uint64_t next_op = 1;
+  m.op_id = next_op++;
+  m.origin = client;
+  m.reply_home = kv.state(client).lo;
+  const Message::Kind want =
+      m.kind == kPut ? Message::Kind::kPutAck : Message::Kind::kGetReply;
+  kv.state_mut(client).to_send.push_back(m);
+  for (std::uint64_t r = 0; r < budget; ++r) {
+    kv.step_round();
+    if (auto c = kv.state_mut(client).take_completion(m.op_id, want)) return c;
+  }
+  return std::nullopt;
+}
+
+Message msg(Message::Kind kind, std::uint64_t key, std::uint32_t j,
+            std::uint32_t r, std::string value = {}) {
+  Message m;
+  m.kind = kind;
+  m.key = key;
+  m.value = std::move(value);
+  m.target = replica_guest(key, j, r, kGuests);
+  return m;
+}
+
+// The value a get returns, or nullopt for a timeout or a not-found reply.
+std::optional<std::string> value_of(const std::optional<Message>& reply) {
+  if (!reply.has_value() || !reply->found) return std::nullopt;
+  return reply->value;
+}
+
+// Hosts that can act as clients (a non-empty range to receive replies in)
+// and are up.
+std::vector<graph::NodeId> live_clients(const KvEngine& kv) {
+  std::vector<graph::NodeId> out;
+  for (graph::NodeId id : kv.graph().ids()) {
+    const auto& st = kv.state(id);
+    if (!st.down && st.lo < st.hi) out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<graph::NodeId> holders(const KvEngine& kv, std::uint64_t key) {
+  std::vector<graph::NodeId> out;
+  for (graph::NodeId id : kv.graph().ids()) {
+    if (kv.state(id).store.count(key) != 0) out.push_back(id);
+  }
+  return out;
+}
+
+graph::NodeId replica_host(const KvEngine& kv, std::uint64_t key,
+                           std::uint32_t j, std::uint32_t r) {
+  return avatar::host_of(replica_guest(key, j, r, kGuests), kv.graph().ids());
+}
+
+// Store `value` at every replica position; each put enters at a different
+// client. Returns how many replicas acked.
+std::uint32_t put_all(KvEngine& kv, std::uint64_t key, std::uint32_t r,
+                      const std::string& value, std::uint64_t budget = 64) {
+  const auto clients = live_clients(kv);
+  std::uint32_t acked = 0;
+  for (std::uint32_t j = 0; j < r; ++j) {
+    const graph::NodeId c = clients[(key + j) % clients.size()];
+    if (roundtrip(kv, c, msg(kPut, key, j, r, value), budget)) ++acked;
+  }
+  return acked;
+}
+
 TEST(KvStore, PutGetRoundtrip) {
-  KvCluster kv(converged_engine(), /*n_replicas=*/1, /*seed=*/1);
+  auto kv = make_kv_engine(converged_engine(), 1);
+  const auto clients = live_clients(*kv);
   for (std::uint64_t key = 0; key < 50; ++key) {
-    EXPECT_EQ(kv.put(key, "value-" + std::to_string(key)), 1u) << key;
+    EXPECT_EQ(put_all(*kv, key, 1, "value-" + std::to_string(key)), 1u) << key;
   }
   for (std::uint64_t key = 0; key < 50; ++key) {
-    const auto got = kv.get(key);
+    const graph::NodeId c = clients[(key * 7) % clients.size()];
+    const auto got = value_of(roundtrip(*kv, c, msg(kGet, key, 0, 1)));
     ASSERT_TRUE(got.has_value()) << key;
     EXPECT_EQ(*got, "value-" + std::to_string(key));
   }
 }
 
 TEST(KvStore, GetMissingKeyIsNullopt) {
-  KvCluster kv(converged_engine(), 2, 2);
-  EXPECT_FALSE(kv.get(999).has_value());
+  auto kv = make_kv_engine(converged_engine(), 2);
+  const graph::NodeId c = live_clients(*kv).front();
+  for (std::uint32_t j = 0; j < 2; ++j) {
+    const auto reply = roundtrip(*kv, c, msg(kGet, 999, j, 2));
+    ASSERT_TRUE(reply.has_value()) << "replica " << j;  // answered, not lost
+    EXPECT_FALSE(value_of(reply).has_value()) << "replica " << j;
+  }
 }
 
 TEST(KvStore, OverwriteReplacesValue) {
-  KvCluster kv(converged_engine(), 3, 3);
-  ASSERT_EQ(kv.put(7, "first"), 3u);
-  ASSERT_EQ(kv.put(7, "second"), 3u);
-  EXPECT_EQ(kv.get(7).value_or(""), "second");
+  auto kv = make_kv_engine(converged_engine(), 3);
+  ASSERT_EQ(put_all(*kv, 7, 3, "first"), 3u);
+  ASSERT_EQ(put_all(*kv, 7, 3, "second"), 3u);
+  const graph::NodeId c = live_clients(*kv).front();
+  for (std::uint32_t j = 0; j < 3; ++j) {
+    EXPECT_EQ(value_of(roundtrip(*kv, c, msg(kGet, 7, j, 3))).value_or(""),
+              "second")
+        << "replica " << j;
+  }
 }
 
 TEST(KvStore, ReplicationInvariantHoldsAtResponsibleHosts) {
   const std::uint32_t r = 3;
-  KvCluster kv(converged_engine(), r, 4);
-  std::vector<graph::NodeId> sorted = kv.engine().graph().ids();
-  std::sort(sorted.begin(), sorted.end());
+  auto kv = make_kv_engine(converged_engine(), 4);
   for (std::uint64_t key = 100; key < 120; ++key) {
-    ASSERT_GT(kv.put(key, "x"), 0u);
+    ASSERT_EQ(put_all(*kv, key, r, "x"), r);
     // Expected holders: the hosts responsible for the replica positions.
     std::set<graph::NodeId> expected;
     for (std::uint32_t j = 0; j < r; ++j) {
-      expected.insert(avatar::host_of(replica_guest(key, j, r, kGuests), sorted));
+      expected.insert(replica_host(*kv, key, j, r));
     }
-    const auto got = kv.holders(key);
+    const auto got = holders(*kv, key);
     EXPECT_EQ(std::set<graph::NodeId>(got.begin(), got.end()), expected)
         << "key " << key;
   }
 }
 
 TEST(KvStore, HopsAreLogarithmic) {
-  KvCluster kv(converged_engine(), 1, 5);
-  for (std::uint64_t key = 0; key < 40; ++key) kv.put(key, "v");
-  for (std::uint64_t key = 0; key < 40; ++key) kv.get(key);
+  auto kv = make_kv_engine(converged_engine(), 5);
+  const auto clients = live_clients(*kv);
+  std::uint32_t max_hops = 0;
+  int hits = 0;
+  for (std::uint64_t key = 0; key < 40; ++key) {
+    const graph::NodeId c = clients[key % clients.size()];
+    const auto ack = roundtrip(*kv, c, msg(kPut, key, 0, 1, "v"));
+    ASSERT_TRUE(ack.has_value()) << key;
+    max_hops = std::max(max_hops, ack->hops);
+  }
+  for (std::uint64_t key = 0; key < 40; ++key) {
+    const auto reply = roundtrip(*kv, clients[(key + 13) % clients.size()],
+                                 msg(kGet, key, 0, 1));
+    ASSERT_TRUE(reply.has_value()) << key;
+    max_hops = std::max(max_hops, reply->hops);
+    if (reply->found) ++hits;
+  }
   // There-and-back on a Chord overlay: a generous constant times log2 N.
-  EXPECT_LE(kv.stats().max_hops, 4 * (util::ceil_log2(kGuests) + 2));
-  EXPECT_EQ(kv.stats().get_hits, 40u);
+  EXPECT_LE(max_hops, 4 * (util::ceil_log2(kGuests) + 2));
+  EXPECT_EQ(hits, 40);
 }
 
 TEST(Failover, GetSurvivesPrimaryFailure) {
   const std::uint32_t r = 3;
-  KvCluster kv(converged_engine(), r, 6);
-  ASSERT_EQ(kv.put(55, "precious"), r);
-  const auto holders = kv.holders(55);
-  ASSERT_EQ(holders.size(), r);
-  // Kill the primary (holder of replica 0).
-  std::vector<graph::NodeId> sorted = kv.engine().graph().ids();
-  std::sort(sorted.begin(), sorted.end());
-  const graph::NodeId primary =
-      avatar::host_of(replica_guest(55, 0, r, kGuests), sorted);
-  kv.fail_host(primary);
-  const auto got = kv.get(55);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "precious");
-  EXPECT_GE(kv.stats().get_retries, 1u);
+  auto kv = make_kv_engine(converged_engine(), 6);
+  ASSERT_EQ(put_all(*kv, 55, r, "precious"), r);
+  ASSERT_EQ(holders(*kv, 55).size(), r);
+  // Kill the primary (holder of replica 0): a get aimed at replica 0 times
+  // out, and the same client's get at replica 1 returns the value.
+  kv->state_mut(replica_host(*kv, 55, 0, r)).down = true;
+  kv->republish();
+  const graph::NodeId c = live_clients(*kv).front();
+  EXPECT_FALSE(roundtrip(*kv, c, msg(kGet, 55, 0, r)).has_value());
+  EXPECT_EQ(value_of(roundtrip(*kv, c, msg(kGet, 55, 1, r))).value_or(""),
+            "precious");
 }
 
 TEST(Failover, UnreplicatedDataDiesWithItsHost) {
-  KvCluster kv(converged_engine(), 1, 7);
-  ASSERT_EQ(kv.put(77, "fragile"), 1u);
-  const auto holders = kv.holders(77);
-  ASSERT_EQ(holders.size(), 1u);
-  kv.fail_host(holders[0]);
-  EXPECT_FALSE(kv.get(77).has_value());
+  auto kv = make_kv_engine(converged_engine(), 7);
+  ASSERT_EQ(put_all(*kv, 77, 1, "fragile"), 1u);
+  const auto h = holders(*kv, 77);
+  ASSERT_EQ(h.size(), 1u);
+  kv->state_mut(h[0]).down = true;
+  kv->republish();
+  const graph::NodeId c = live_clients(*kv).front();
+  EXPECT_FALSE(value_of(roundtrip(*kv, c, msg(kGet, 77, 0, 1))).has_value());
 }
 
 TEST(Failover, WarmRestartRestoresAccess) {
-  KvCluster kv(converged_engine(), 1, 8);
-  ASSERT_EQ(kv.put(88, "persistent"), 1u);
-  const auto holders = kv.holders(88);
-  ASSERT_EQ(holders.size(), 1u);
-  kv.fail_host(holders[0]);
-  EXPECT_FALSE(kv.get(88).has_value());
-  kv.recover_host(holders[0]);  // warm restart: the store survived
-  EXPECT_EQ(kv.get(88).value_or(""), "persistent");
+  auto kv = make_kv_engine(converged_engine(), 8);
+  ASSERT_EQ(put_all(*kv, 88, 1, "persistent"), 1u);
+  const auto h = holders(*kv, 88);
+  ASSERT_EQ(h.size(), 1u);
+  kv->state_mut(h[0]).down = true;
+  kv->republish();
+  const graph::NodeId c = live_clients(*kv).front();
+  EXPECT_FALSE(value_of(roundtrip(*kv, c, msg(kGet, 88, 0, 1))).has_value());
+  kv->state_mut(h[0]).down = false;  // warm restart: the store survived
+  kv->republish();
+  EXPECT_EQ(value_of(roundtrip(*kv, c, msg(kGet, 88, 0, 1))).value_or(""),
+            "persistent");
 }
 
 TEST(Failover, RoutesAroundDownIntermediateHosts) {
   const std::uint32_t r = 2;
-  KvCluster kv(converged_engine(), r, 9);
+  auto kv = make_kv_engine(converged_engine(), 9);
   for (std::uint64_t key = 200; key < 230; ++key) {
-    ASSERT_GT(kv.put(key, "v" + std::to_string(key)), 0u);
+    ASSERT_EQ(put_all(*kv, key, r, "v" + std::to_string(key)), r);
   }
   // Fail two hosts that hold none of our keys: routes through them must
-  // detour via other fingers; every key must stay readable.
+  // detour via other fingers; every key must stay readable at replica 0.
   std::set<graph::NodeId> holding;
   for (std::uint64_t key = 200; key < 230; ++key) {
-    for (auto h : kv.holders(key)) holding.insert(h);
+    for (auto h : holders(*kv, key)) holding.insert(h);
   }
   int failed = 0;
-  for (graph::NodeId h : kv.engine().graph().ids()) {
+  for (graph::NodeId h : kv->graph().ids()) {
     if (holding.count(h) == 0 && failed < 2) {
-      kv.fail_host(h);
+      kv->state_mut(h).down = true;
       ++failed;
     }
   }
+  kv->republish();
   ASSERT_EQ(failed, 2);
+  const auto clients = live_clients(*kv);
   int ok = 0;
   for (std::uint64_t key = 200; key < 230; ++key) {
-    if (kv.get(key).value_or("") == "v" + std::to_string(key)) ++ok;
+    const graph::NodeId c = clients[key % clients.size()];
+    if (value_of(roundtrip(*kv, c, msg(kGet, key, 0, r))).value_or("") ==
+        "v" + std::to_string(key)) {
+      ++ok;
+    }
   }
   EXPECT_EQ(ok, 30);
 }
 
-TEST(Failover, MassFailureDegradesGracefully) {
-  const std::uint32_t r = 3;
-  KvCluster kv(converged_engine(), r, 10);
-  for (std::uint64_t key = 0; key < 30; ++key) {
-    ASSERT_GT(kv.put(key, "v"), 0u);
+TEST(KvRegression, AcksReachClientsOnRetargetedConfiguration) {
+  // Route acks by the *stamped* client range, not `origin % n_guests`: the
+  // data plane routes purely by range state, so a rebalanced/retargeted
+  // overlay may serve ranges that do not contain the server's own id. Under
+  // the old rule every ack went to the host whose range covered the client's
+  // *id* — a different host after rebalancing — and every op timed out.
+  // Rotate the canonical ranges by one ring position (each host serves its
+  // predecessor's range; fingers are stale-but-functional, exactly the
+  // post-handoff moment) and demand full roundtrips.
+  auto kv = make_kv_engine(converged_engine(), 5);
+  const auto& ids = kv->graph().ids();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> canonical;
+  for (graph::NodeId id : ids) {
+    canonical.emplace_back(kv->state(id).lo, kv->state(id).hi);
   }
-  // Fail a third of the hosts; with three spaced replicas most keys must
-  // remain readable (the e7 robustness bench quantifies the exact curve).
-  const auto& ids = kv.engine().graph().ids();
-  util::Rng rng(11);
-  std::vector<graph::NodeId> pool(ids.begin(), ids.end());
-  for (std::size_t i = pool.size(); i > 1; --i) {
-    std::swap(pool[i - 1], pool[rng.next_below(i)]);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto& rg = canonical[(i + ids.size() - 1) % ids.size()];
+    auto& st = kv->state_mut(ids[i]);
+    st.lo = rg.first;
+    st.hi = rg.second;
   }
-  for (std::size_t i = 0; i < pool.size() / 3; ++i) kv.fail_host(pool[i]);
-  int ok = 0;
-  for (std::uint64_t key = 0; key < 30; ++key) {
-    if (kv.get(key).has_value()) ++ok;
+  // The regression premise must hold: hosts' ids are outside their ranges.
+  std::size_t displaced = 0;
+  for (graph::NodeId id : ids) {
+    const auto& st = kv->state(id);
+    if (id < st.lo || id >= st.hi) ++displaced;
   }
-  EXPECT_GE(ok, 20);
+  ASSERT_GT(displaced, ids.size() / 2) << "rotation left ids range-anchored";
+
+  // Stale fingers can dead-end a route (here the host whose rotated range
+  // wraps the ring loses its own ops), so demand almost every roundtrip, not
+  // all of them. Under the old rule every op timed out.
+  const auto clients = live_clients(*kv);
+  int acked = 0, read = 0;
+  for (std::uint64_t key = 0; key < 32; ++key) {
+    const std::string value = "v" + std::to_string(key);
+    const graph::NodeId c = clients[(key * 5) % clients.size()];
+    for (std::uint32_t j = 0; j < 2; ++j) {
+      if (roundtrip(*kv, c, msg(kPut, key, j, 2, value))) ++acked;
+    }
+    if (value_of(roundtrip(*kv, c, msg(kGet, key, 0, 2))) == value) ++read;
+  }
+  EXPECT_GE(acked, 60) << "of 64 puts";
+  EXPECT_GE(read, 30) << "of 32 gets";
+  EXPECT_EQ(total_drops(*kv), 0u);
 }
 
 TEST(Asynchrony, PutGetRoundtripUnderBoundedDelay) {
   // §7 future work: the data plane under uniform [1, d] message delays.
   // Client budgets stretch by d; correctness is unchanged.
-  KvCluster kv(converged_engine(), 2, 12, /*max_message_delay=*/3);
+  const std::uint64_t d = 3;
+  auto kv = make_kv_engine(converged_engine(), 12, /*max_message_delay=*/d);
+  const auto clients = live_clients(*kv);
   for (std::uint64_t key = 300; key < 330; ++key) {
-    ASSERT_EQ(kv.put(key, "a" + std::to_string(key)), 2u) << key;
+    ASSERT_EQ(put_all(*kv, key, 2, "a" + std::to_string(key), 64 * d), 2u)
+        << key;
   }
   for (std::uint64_t key = 300; key < 330; ++key) {
-    EXPECT_EQ(kv.get(key).value_or(""), "a" + std::to_string(key));
+    const graph::NodeId c = clients[(key * 3) % clients.size()];
+    EXPECT_EQ(value_of(roundtrip(*kv, c, msg(kGet, key, 0, 2), 64 * d))
+                  .value_or(""),
+              "a" + std::to_string(key));
   }
 }
 
 TEST(Asynchrony, FailoverStillWorksUnderDelay) {
-  KvCluster kv(converged_engine(), 3, 13, /*max_message_delay=*/2);
-  ASSERT_EQ(kv.put(400, "slow-but-safe"), 3u);
-  const auto holders = kv.holders(400);
-  ASSERT_EQ(holders.size(), 3u);
-  kv.fail_host(holders[0]);
-  EXPECT_EQ(kv.get(400).value_or(""), "slow-but-safe");
+  const std::uint64_t d = 2;
+  auto kv = make_kv_engine(converged_engine(), 13, /*max_message_delay=*/d);
+  ASSERT_EQ(put_all(*kv, 400, 3, "slow-but-safe", 64 * d), 3u);
+  ASSERT_EQ(holders(*kv, 400).size(), 3u);
+  kv->state_mut(replica_host(*kv, 400, 0, 3)).down = true;
+  kv->republish();
+  const graph::NodeId c = live_clients(*kv).front();
+  EXPECT_FALSE(roundtrip(*kv, c, msg(kGet, 400, 0, 3), 64 * d).has_value());
+  EXPECT_EQ(
+      value_of(roundtrip(*kv, c, msg(kGet, 400, 1, 3), 64 * d)).value_or(""),
+      "slow-but-safe");
 }
 
 }  // namespace

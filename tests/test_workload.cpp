@@ -1,8 +1,9 @@
 // The serving layer (DESIGN.md D13): the open-loop workload grammar, the
-// Zipf sampler, the data-plane bug fixes that made it possible (ack routing
-// to the client's range, attributable drops at down hosts, bounded
-// completion logs), and the campaign bar — byte-identical reports at any
-// worker count and across a mid-workload checkpoint/resume.
+// Zipf sampler, the data-plane bug fixes that made it possible (attributable
+// drops at down hosts, bounded completion logs; ack routing to the client's
+// range is pinned in test_dht.cpp), the campaign bar — byte-identical
+// reports at any worker count and across a mid-workload checkpoint/resume —
+// and replica failover, including the committed kv_failover.scn.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -163,48 +164,6 @@ std::unique_ptr<core::StabEngine> converged_engine(std::uint64_t seed) {
   return e;
 }
 
-TEST(KvRegression, AcksReachClientsOnRetargetedConfiguration) {
-  // Route acks by the *stamped* client range, not `origin % n_guests`: the
-  // data plane routes purely by range state, so a rebalanced/retargeted
-  // overlay may serve ranges that do not contain the server's own id. Under
-  // the old rule every ack went to the host whose range covered the client's
-  // *id* — a different host after rebalancing — and every op timed out.
-  // Rotate the canonical ranges by one ring position (each host serves its
-  // predecessor's range; fingers are stale-but-functional, exactly the
-  // post-handoff moment) and demand full roundtrips.
-  util::set_log_level(util::LogLevel::kError);
-  auto eng = converged_engine(11);
-  dht::KvCluster kv(*eng, /*n_replicas=*/2, /*seed=*/5);
-  const auto& ids = kv.engine().graph().ids();
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> canonical;
-  for (graph::NodeId id : ids) {
-    canonical.emplace_back(kv.engine().state(id).lo, kv.engine().state(id).hi);
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const auto& r = canonical[(i + ids.size() - 1) % ids.size()];
-    auto& st = kv.engine().state_mut(ids[i]);
-    st.lo = r.first;
-    st.hi = r.second;
-  }
-  // The regression premise must hold: hosts' ids are outside their ranges.
-  std::size_t displaced = 0;
-  for (graph::NodeId id : ids) {
-    const auto& st = kv.engine().state(id);
-    if (id < st.lo || id >= st.hi) ++displaced;
-  }
-  ASSERT_GT(displaced, ids.size() / 2) << "rotation left ids range-anchored";
-
-  for (std::uint64_t key = 0; key < 32; ++key) {
-    ASSERT_GT(kv.put(key, "v" + std::to_string(key)), 0u) << "key " << key;
-  }
-  for (std::uint64_t key = 0; key < 32; ++key) {
-    const auto got = kv.get(key);
-    ASSERT_TRUE(got.has_value()) << "key " << key;
-    EXPECT_EQ(*got, "v" + std::to_string(key));
-  }
-  EXPECT_EQ(dht::total_drops(kv.engine()), 0u);
-}
-
 TEST(KvAccounting, DownHostDropsAreCountedNotSilent) {
   util::set_log_level(util::LogLevel::kError);
   auto eng = converged_engine(12);
@@ -225,50 +184,42 @@ TEST(KvAccounting, DownHostDropsAreCountedNotSilent) {
   kv->step_round();
   EXPECT_EQ(kv->state(victim).dropped_ops, 1u);
   EXPECT_GE(dht::total_drops(*kv), 1u);
-
-  // The facade surfaces the same counters as KvStats::drops.
-  dht::KvCluster cluster(*eng, 2, 9);
-  const graph::NodeId down = cluster.engine().graph().ids().back();
-  cluster.fail_host(down);
-  for (std::uint64_t key = 0; key < 24; ++key) {
-    cluster.put(key, "x");
-    cluster.get(key);
-  }
-  EXPECT_EQ(cluster.stats().drops, dht::total_drops(cluster.engine()));
 }
 
 TEST(KvAccounting, CompletionLogsStayBoundedOverManyOps) {
-  // Satellite fix: completions are pruned on match, so the per-host logs
-  // (and live bytes) must not grow with op count.
+  // Satellite fix: the driver drains every host's completion log each
+  // round, so the per-host logs (and live bytes) must not grow with op
+  // count. With the key space full, re-putting the same keys adds no
+  // storage either.
   util::set_log_level(util::LogLevel::kError);
   auto eng = converged_engine(13);
-  dht::KvCluster kv(*eng, /*n_replicas=*/3, /*seed=*/21);
-  const auto residue = [&kv] {
+  dht::WorkloadConfig wc;
+  wc.end = 200;
+  wc.rate = 8;
+  wc.keys = 64;
+  wc.put_fraction = 0.5;
+  wc.replicas = 3;
+  wc.prefill = 64;
+  dht::WorkloadDriver wl(*eng, wc, /*job_seed=*/21, /*max_delay=*/1);
+  const auto live = [&wl] {
     std::uint64_t n = 0;
-    for (graph::NodeId id : kv.engine().graph().ids()) {
-      n += kv.engine().state(id).completed.size();
+    for (graph::NodeId id : wl.engine().graph().ids()) {
+      n += wl.engine().state(id).live_bytes();
     }
     return n;
   };
-  const auto live = [&kv] {
-    std::uint64_t n = 0;
-    for (graph::NodeId id : kv.engine().graph().ids()) {
-      n += kv.engine().state(id).live_bytes();
+  const std::uint64_t full = live();
+  std::uint64_t t = 0;
+  while (!wl.idle(t)) {
+    wl.on_timeline_round(t++, *eng);
+    for (graph::NodeId id : wl.engine().graph().ids()) {
+      ASSERT_TRUE(wl.engine().state(id).completed.empty())
+          << "host " << id << " round " << t;
     }
-    return n;
-  };
-  for (std::uint64_t key = 0; key < 64; ++key) kv.put(key, "v");
-  for (std::uint64_t key = 0; key < 64; ++key) kv.get(key);
-  const std::uint64_t residue1 = residue();
-  const std::uint64_t live1 = live();
-  for (int lap = 0; lap < 3; ++lap) {
-    for (std::uint64_t key = 0; key < 64; ++key) kv.put(key, "v");
-    for (std::uint64_t key = 0; key < 64; ++key) kv.get(key);
+    ASSERT_LE(live(), full) << "round " << t;
   }
-  // Stale completions do not accumulate across laps (a handful may be in
-  // flight at any instant), and re-putting the same keys adds no storage.
-  EXPECT_LE(residue(), residue1 + kv.n_replicas());
-  EXPECT_LE(live(), live1 + 64);
+  EXPECT_EQ(wl.totals().issued, 200u * 8u);
+  EXPECT_EQ(wl.totals().completed, wl.totals().issued);
 }
 
 // --- the open-loop campaign bar ---------------------------------------------
@@ -420,6 +371,37 @@ TEST(WorkloadFailover, LossyWindowForcesRetriesThatStillComplete) {
   for (const std::size_t workers : {2u, 8u}) {
     EXPECT_EQ(result_bytes(campaign::run_job(sc, spec, workers)), want)
         << "workers=" << workers;
+  }
+}
+
+TEST(WorkloadFailover, FrozenFaultsFailOverAcrossReplicas) {
+  // The committed host-failure read experiment: freeze the converged
+  // network, wipe 9 of 48 hosts, read 64 prefilled keys once. Every get is
+  // settled and every completion finds its value; at 3 replicas reads fail
+  // over, and at 1 replica strictly more of them time out.
+  util::set_log_level(util::LogLevel::kError);
+  std::string error;
+  const auto sc = campaign::load_scenario(
+      std::string(CHS_SOURCE_DIR) + "/examples/scenarios/kv_failover.scn",
+      &error);
+  ASSERT_TRUE(sc.has_value()) << error;
+  ASSERT_EQ(sc->workload.replicas, 3u);
+  Scenario single = *sc;
+  single.workload.replicas = 1;
+  const auto r3 = campaign::run_campaign(*sc);
+  const auto r1 = campaign::run_campaign(single);
+  ASSERT_EQ(r3.results.size(), r1.results.size());
+  ASSERT_FALSE(r3.results.empty());
+  for (std::size_t i = 0; i < r3.results.size(); ++i) {
+    for (const campaign::JobResult* r : {&r3.results[i], &r1.results[i]}) {
+      EXPECT_TRUE(r->converged) << "job " << i;
+      EXPECT_GT(r->wl_issued, 0u) << "job " << i;
+      EXPECT_EQ(r->wl_completed + r->wl_timeouts, r->wl_issued) << "job " << i;
+      EXPECT_EQ(r->wl_hits, r->wl_completed) << "job " << i;
+    }
+    EXPECT_GT(r3.results[i].wl_retries, 0u) << "job " << i;
+    EXPECT_GT(r1.results[i].wl_timeouts, r3.results[i].wl_timeouts)
+        << "job " << i;
   }
 }
 

@@ -8,8 +8,6 @@
 //   chordsim churn  [--n 64] [--N 256] [--episodes 3] [--burst 1] [--seed 1]
 //   chordsim dot    [--n 24] [--N 64] [--family line] [--seed 1]
 //                   [--rounds R] [--svg]  (0 = run to convergence)
-//   chordsim kv     [--n 48] [--N 512] [--keys 64] [--replicas 3]
-//                   [--fail-frac 0.2] [--delay 1] [--seed 1]
 //   chordsim campaign <scenario-file> [--jobs 1] [--workers 1]
 //                   [--json PATH] [--csv] [--quiet] [--oracle]
 //                   [--checkpoint FILE] [--checkpoint-every R]
@@ -64,7 +62,8 @@
 // (src/campaign/scenario.hpp documents the format, examples/scenarios/ has
 // ready-made ones), fans the expanded job list out over `--jobs` threads,
 // and prints per-job and aggregate reports — byte-identical for any
-// `--jobs`/`--workers` values (DESIGN.md D7).
+// `--jobs`/`--workers` values (DESIGN.md D7). Replicated-KV reads after
+// host failures are one such scenario: examples/scenarios/kv_failover.scn.
 //
 // Unknown --flags are a usage error: a typo like `--worker 8` must fail
 // loudly, not silently run single-threaded.
@@ -81,7 +80,6 @@
 #include "core/invariants.hpp"
 #include "core/svg.hpp"
 #include "core/trace.hpp"
-#include "dht/kvstore.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "obs/flight.hpp"
@@ -312,53 +310,6 @@ int cmd_dot(const Args& a) {
     std::fputs(core::to_dot(*eng).c_str(), stdout);
   }
   return 0;
-}
-
-int cmd_kv(const Args& a) {
-  auto eng = build_engine(a);
-  if (!core::run_to_convergence(*eng, a.get_u64("max-rounds", 400000))
-           .converged) {
-    std::printf("did not converge\n");
-    return 1;
-  }
-  const std::uint32_t replicas =
-      static_cast<std::uint32_t>(a.get_u64("replicas", 3));
-  const std::uint64_t keys = a.get_u64("keys", 64);
-  const double fail_frac = std::strtod(a.get("fail-frac", "0.2"), nullptr);
-  dht::KvCluster kv(*eng, replicas, a.get_u64("seed", 1) + 99,
-                    static_cast<std::uint32_t>(a.get_u64("delay", 1)));
-  for (std::uint64_t key = 0; key < keys; ++key) {
-    kv.put(key, "value-" + std::to_string(key));
-  }
-  util::Rng rng(a.get_u64("seed", 1) * 7);
-  std::vector<graph::NodeId> pool(eng->graph().ids());
-  for (std::size_t i = pool.size(); i > 1; --i) {
-    std::swap(pool[i - 1], pool[rng.next_below(i)]);
-  }
-  const std::size_t kills = static_cast<std::size_t>(
-      fail_frac * static_cast<double>(pool.size()));
-  for (std::size_t i = 0; i < kills; ++i) kv.fail_host(pool[i]);
-  std::size_t ok = 0, lost = 0, route_fail = 0;
-  for (std::uint64_t key = 0; key < keys; ++key) {
-    if (kv.get(key).value_or("") == "value-" + std::to_string(key)) {
-      ++ok;
-      continue;
-    }
-    bool any_live = false;
-    for (graph::NodeId h : kv.holders(key)) {
-      if (!kv.is_down(h)) any_live = true;
-    }
-    ++(any_live ? route_fail : lost);
-  }
-  const auto& st = kv.stats();
-  std::printf("kv: %zu/%llu reads ok after failing %zu hosts "
-              "(%zu lost, %zu routing failures); puts=%llu acks=%llu "
-              "retries=%llu max_hops=%u\n",
-              ok, static_cast<unsigned long long>(keys), kills, lost,
-              route_fail, static_cast<unsigned long long>(st.puts),
-              static_cast<unsigned long long>(st.put_acks),
-              static_cast<unsigned long long>(st.get_retries), st.max_hops);
-  return route_fail == 0 ? 0 : 1;
 }
 
 int cmd_campaign(const Args& a) {
@@ -632,7 +583,7 @@ int cmd_describe(const Args& a) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: chordsim run|route|churn|dot|kv|campaign|trace|fuzz|"
+                 "usage: chordsim run|route|churn|dot|campaign|trace|fuzz|"
                  "describe [--key value ...]\n");
     return 2;
   }
@@ -654,11 +605,6 @@ int main(int argc, char** argv) {
     static const char* const kFlags[] = {CHS_ENGINE_FLAGS, "rounds", "svg",
                                          nullptr};
     return cmd_dot(parse(argc, argv, 2, kFlags));
-  }
-  if (cmd == "kv") {
-    static const char* const kFlags[] = {CHS_ENGINE_FLAGS, "keys", "replicas",
-                                         "fail-frac", nullptr};
-    return cmd_kv(parse(argc, argv, 2, kFlags));
   }
   if (cmd == "campaign") {
     static const char* const kFlags[] = {
