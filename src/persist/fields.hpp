@@ -11,9 +11,10 @@
 // private.
 //
 // Deliberately NOT serialized:
-//   * HostState::frags / out_edge_to_entry — derived fragment geometry,
-//     recomputed by Protocol::on_restore (a pure function of lo/hi cannot
-//     drift when recomputed; it could when copied);
+//   * HostState::frags / out_edge_to_entry and their range key
+//     frags_lo / frags_hi — derived fragment geometry, recomputed by
+//     Protocol::on_restore (a pure function of lo/hi cannot drift when
+//     recomputed; it could when copied);
 //   * anything holding pointers or handles (there is none in these types).
 //
 // Any translation unit that checkpoints or restores a stabilizer engine
@@ -152,7 +153,8 @@ void persist_fields(A& a, HostState& v) {
   a(v.recent_a);
   a(v.recent_b);
   a(v.recent_until);
-  // frags / out_edge_to_entry: derived, recomputed by Protocol::on_restore.
+  // frags / out_edge_to_entry / frags_lo / frags_hi: derived, recomputed by
+  // Protocol::on_restore.
   a(v.done_needed);
   a(v.done_pruned);
   a(v.nbrs);

@@ -60,20 +60,29 @@ bool Protocol::check_local(Ctx& ctx) const {
   if (st.cluster == kNone) CHS_FAULT();
 
   // --- 1. Map keys must equal the forced crossing-edge geometry ----------
+  // The fragment cache holds that geometry for [frags_lo, frags_hi); only
+  // external fault injection moves lo/hi without recomputing it.
+  if (st.frags_lo != st.lo || st.frags_hi != st.hi) {
+    recompute_fragments(ctx.state());
+  }
   {
-    std::size_t nb = 0, np = 0;
-    for (const auto& ce : cbt_.crossing_edges(st.lo, st.hi)) {
-      if (!ce.child_inside) {
-        if (!st.boundary_host.count(ce.child_pos)) CHS_FAULT();
-        ++nb;
-      } else {
-        if (!st.parent_host.count(ce.child_pos)) CHS_FAULT();
-        ++np;
-      }
-    }
-    if (st.boundary_host.size() != nb || st.parent_host.size() != np) {
+    // Out-edge children are exactly the boundary_host keys (both sorted).
+    const auto same_key = [](const auto& a, const auto& b) {
+      return a.first == b.first;
+    };
+    if (!std::equal(st.boundary_host.begin(), st.boundary_host.end(),
+                    st.out_edge_to_entry.begin(), st.out_edge_to_entry.end(),
+                    same_key)) {
       CHS_FAULT();
     }
+    // Entries with an out-of-range parent are exactly the parent_host keys.
+    std::size_t np = 0;
+    for (const auto& f : st.frags) {
+      if (!f.parent_pos) continue;
+      if (!st.parent_host.count(f.entry)) CHS_FAULT();
+      ++np;
+    }
+    if (st.parent_host.size() != np) CHS_FAULT();
   }
 
   // --- 2. Budgets ---------------------------------------------------------
@@ -127,12 +136,13 @@ bool Protocol::check_local(Ctx& ctx) const {
   for (const auto& [pos, host] : st.boundary_host) {
     if (!check_structural(pos, host, true)) CHS_FAULT();
   }
-  for (const auto& [pos, host] : st.parent_host) {
-    // parent_host is keyed by my entry position; the *parent* position must
-    // lie in the neighbor's range.
-    const auto pp = cbt_.parent(pos);
-    if (!pp) CHS_FAULT();  // the guest root has no parent entry
-    if (!check_structural(*pp, host, true)) CHS_FAULT();
+  // parent_host is keyed by my entry position; the *parent* position must
+  // lie in the neighbor's range. Check 1 matched its keys to the fragments
+  // with a parent, and both are sorted by entry, so they walk in step.
+  auto ph = st.parent_host.begin();
+  for (const auto& f : st.frags) {
+    if (!f.parent_pos) continue;  // the guest root has no parent entry
+    if (!check_structural(*f.parent_pos, (ph++)->second, true)) CHS_FAULT();
   }
   if (st.succ != kNone) {
     if (!ctx.is_neighbor(st.succ)) CHS_FAULT();

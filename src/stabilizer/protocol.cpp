@@ -115,6 +115,8 @@ void Protocol::publish(const HostState& st, PublicState& pub) {
 
 void Protocol::recompute_fragments(HostState& st) const {
   st.frags = cbt_.fragments(st.lo, st.hi);
+  st.frags_lo = st.lo;
+  st.frags_hi = st.hi;
   st.out_edge_to_entry.clear();
   for (const auto& f : st.frags) {
     for (const auto& oe : f.out_edges) {

@@ -209,8 +209,11 @@ struct HostState {
   std::uint64_t recent_until = 0;
 
   // Cached fragment geometry for the current range (recomputed on change).
+  // frags_lo/frags_hi name the range it was computed for, so the detector
+  // can tell a stale cache from a current one. Derived, never serialized.
   std::vector<topology::Cbt::Fragment> frags;
   util::FlatMap<GuestId, GuestId> out_edge_to_entry;  // out-edge child pos -> entry
+  std::uint64_t frags_lo = 0, frags_hi = 0;
 
   // Cached at the DONE prune: the exact neighbor set the final configuration
   // requires; any other surviving neighbor is a fault once the prune settles.

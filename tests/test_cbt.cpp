@@ -211,6 +211,24 @@ TEST(Cbt, FragmentsPartitionRangeAndMatchComponents) {
         }
         EXPECT_TRUE(found);
       }
+      // The fragments carry the crossing-edge geometry the detector checks
+      // the host maps against: entries with a parent are the inward edges'
+      // children, and the out-edges are the outward edges.
+      std::map<GuestId, GuestId> inward, frag_parents;
+      std::set<GuestId> outward, frag_out;
+      for (const auto& ce : t.crossing_edges(a, b)) {
+        if (ce.child_inside) {
+          inward[ce.child_pos] = ce.parent_pos;
+        } else {
+          outward.insert(ce.child_pos);
+        }
+      }
+      for (const auto& f : frags) {
+        if (f.parent_pos) frag_parents[f.entry] = *f.parent_pos;
+        for (const auto& oe : f.out_edges) frag_out.insert(oe.child_pos);
+      }
+      EXPECT_EQ(frag_parents, inward) << "n=" << n << " [" << a << "," << b << ")";
+      EXPECT_EQ(frag_out, outward) << "n=" << n << " [" << a << "," << b << ")";
     }
   }
 }

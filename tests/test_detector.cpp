@@ -112,6 +112,34 @@ TEST(Detector, SuccTileViolationDetected) {
   EXPECT_LE(rounds_until_any_reset(*eng, 100), 2u);
 }
 
+TEST(Detector, RangeRewrittenWithoutRecomputeIsFlagged) {
+  // Fault code that moves hi without recomputing the fragment cache must
+  // not leave the detector judging the maps against the old range. The
+  // victim keeps its own id and the guest root on the same side of both
+  // ranges (check 0 stays quiet) and has an open merge window (check 3's
+  // tiling and reciprocity lines stay quiet), so only check 1 on the
+  // refreshed geometry can flag it in its first step, before neighbors
+  // that saw the change reset and drag it along.
+  auto eng = legal_cbt_engine(64, 16, Phase::kCbt);
+  const auto root = eng->protocol().guest_root();
+  NodeId victim = stabilizer::kNone;
+  for (NodeId id : eng->graph().ids()) {
+    const HostState& st = eng->state(id);
+    if (st.id + 1 < st.hi && st.succ != stabilizer::kNone &&
+        !(root >= st.lo && root < st.hi)) {
+      victim = id;
+      break;
+    }
+  }
+  ASSERT_NE(victim, stabilizer::kNone);
+  auto& st = eng->state_mut(victim);
+  st.recent_until = eng->round() + 1000;
+  st.hi -= 1;
+  eng->republish();
+  eng->step_round();
+  EXPECT_EQ(eng->state(victim).resets, 1u);
+}
+
 TEST(Detector, PhaseMixtureInfectsToCbt) {
   // Lemma 2: set half the hosts to CHORD with no wave in flight: the CBT
   // absorbing rule plus phase mismatch must drag everyone to CBT quickly.
