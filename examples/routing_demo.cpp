@@ -2,8 +2,8 @@
 //
 // Builds Avatar(Chord) and walks through greedy lookups step by step,
 // printing the finger choices, then degrades the network with random host
-// failures and shows lookups detouring (and the bare Cbt tree falling
-// apart at the same failure rate).
+// failures and shows lookups routing around them (and the bare Cbt tree
+// falling apart at the same failure rate).
 #include <cstdio>
 #include <cstdlib>
 
@@ -21,23 +21,13 @@ void trace_lookup(const topology::TargetSpec& target, std::uint64_t n,
                   GuestId s, GuestId t) {
   std::printf("lookup %llu -> %llu:", static_cast<unsigned long long>(s),
               static_cast<unsigned long long>(t));
-  GuestId cur = s;
   int hops = 0;
-  while (cur != t && hops < 64) {
-    GuestId best = cur;
-    std::uint64_t best_dist = (t + n - cur) % n;
-    for (GuestId v : routing::guest_neighbors(target, cur, n)) {
-      const std::uint64_t d = (t + n - v) % n;
-      if (d < best_dist) {
-        best_dist = d;
-        best = v;
-      }
-    }
-    if (best == cur) break;
-    std::printf(" %llu", static_cast<unsigned long long>(best));
-    cur = best;
-    ++hops;
-  }
+  routing::greedy_walk(
+      target, n, s, t, [](GuestId) { return true; },
+      [&](GuestId, GuestId to) {
+        std::printf(" %llu", static_cast<unsigned long long>(to));
+        ++hops;
+      });
   std::printf("   (%d hops, log N = %u)\n", hops, util::ceil_log2(n));
 }
 

@@ -1,75 +1,14 @@
 #include "dht/kvstore.hpp"
 
-#include <algorithm>
-
-#include "stabilizer/state.hpp"
-#include "util/bitops.hpp"
 #include "util/check.hpp"
 
 namespace chs::dht {
 namespace {
 
-std::uint64_t cw(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
-}
-
 std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
-}
-
-// Hard per-message hop cap: routes that lost greedy progress (detours
-// around down hosts, below) circulate at most this long before the drop is
-// surfaced to the client as a timeout.
-std::uint32_t hop_cap(std::uint64_t n_guests) {
-  return 4 * (util::ceil_log2(n_guests) + 2);
-}
-
-// Down-aware closest-preceding-finger (same geometry as
-// routing::LookupProtocol::next_hop, restricted to hosts whose published
-// heartbeat is live). When no live neighbor precedes the target — the greedy
-// invariant is unsatisfiable because the hosts that would make progress are
-// down — fall back to the live neighbor whose representative guest is
-// ring-closest to the target in either direction. Detours can revisit hosts;
-// the hop cap bounds the walk and the client's replica retry covers the rest.
-template <typename IsLive>
-NodeId next_live_hop(const KvProtocol::NodeState& st, GuestId t,
-                     std::uint64_t n, NodeId avoid, IsLive&& is_live) {
-  if (t >= st.lo && t < st.hi) return KvProtocol::kNoneHost;
-  NodeId best_host = KvProtocol::kNoneHost;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  NodeId detour_host = KvProtocol::kNoneHost;
-  std::uint64_t detour_dist = ~std::uint64_t{0};
-  const auto consider = [&](GuestId g, NodeId host) {
-    if (host == KvProtocol::kNoneHost || !is_live(host)) return;
-    const std::uint64_t fwd = cw(g, t, n);
-    if (fwd < best_dist) {
-      best_dist = fwd;
-      best_host = host;
-    }
-    if (host != avoid) {
-      const std::uint64_t either = std::min(fwd, cw(t, g, n));
-      if (either < detour_dist) {
-        detour_dist = either;
-        detour_host = host;
-      }
-    }
-  };
-  for (const auto& level : st.fwd) {
-    for (const auto& e : level.entries()) {
-      GuestId g;
-      if (t >= e.lo && t < e.hi) {
-        g = t;
-      } else {
-        g = e.hi - 1;
-        if (cw(e.lo, t, n) < cw(g, t, n)) g = e.lo;
-      }
-      consider(g, e.value);
-    }
-  }
-  if (st.succ != KvProtocol::kNoneHost) consider(st.hi % n, st.succ);
-  return best_host != KvProtocol::kNoneHost ? best_host : detour_host;
 }
 
 }  // namespace
@@ -168,21 +107,21 @@ void KvProtocol::step(Ctx& ctx) {
     return Message{};
   };
 
-  const auto route = [&](Message m, NodeId from) {
+  const auto route = [&](Message m) {
     while (true) {
       if (m.target >= st.lo && m.target < st.hi) {
         Message reply = deliver_local(m);
         if (m.kind == Message::Kind::kPut || m.kind == Message::Kind::kGet) {
           m = std::move(reply);  // route the ack/reply from here
-          from = ctx.self();
           continue;
         }
         return;  // ack/reply consumed by the client host
       }
-      if (m.hops >= hop_cap(n_guests_)) return;  // detoured too long: drop
-      // Prefer not to bounce straight back to the sender when detouring.
-      const NodeId next =
-          next_live_hop(st, m.target, n_guests_, /*avoid=*/from, is_live);
+      // Greedy forwarding over live neighbors need not make progress once
+      // the hosts that would are down; the hop cap ends such walks and the
+      // client's timeout and replica retry cover the rest.
+      if (m.hops >= routing::hop_budget(n_guests_)) return;
+      const NodeId next = routing::next_hop(st, m.target, n_guests_, is_live);
       if (next == kNoneHost || next == ctx.self()) return;  // dead end: drop
       ++m.hops;
       ctx.send(next, m);
@@ -190,30 +129,16 @@ void KvProtocol::step(Ctx& ctx) {
     }
   };
 
-  for (Message& m : st.to_send) route(std::move(m), ctx.self());
+  for (Message& m : st.to_send) route(std::move(m));
   st.to_send.clear();
-  for (const auto& env : ctx.inbox()) route(env.msg, env.from);
+  for (const auto& env : ctx.inbox()) route(env.msg);
   schedule_wakeups(ctx);
 }
 
 std::unique_ptr<KvEngine> make_kv_engine(const core::StabEngine& src,
                                          std::uint64_t seed,
                                          std::uint32_t max_message_delay) {
-  CHS_CHECK_MSG(core::is_converged(src),
-                "the KV data plane requires a converged stabilizer engine");
-  const std::uint64_t n = src.protocol().params().n_guests;
-  graph::Graph g(src.graph().ids());
-  for (const auto& [u, v] : src.graph().edge_list()) g.add_edge(u, v);
-  auto eng = std::make_unique<KvEngine>(std::move(g), KvProtocol(n), seed);
-  for (NodeId id : eng->graph().ids()) {
-    const auto& from = src.state(id);
-    auto& to = eng->state_mut(id);
-    to.lo = from.lo;
-    to.hi = from.hi;
-    to.fwd = from.fwd_maps;
-    to.succ =
-        from.succ == stabilizer::kNone ? KvProtocol::kNoneHost : from.succ;
-  }
+  auto eng = routing::snapshot_routes<KvProtocol>(src, seed);
   eng->set_max_message_delay(max_message_delay);
   eng->republish();
   return eng;

@@ -5,7 +5,8 @@
 //
 // The store is a pure data plane: its routing tables are snapshotted from a
 // *converged* stabilizer engine exactly like routing::LookupProtocol, and
-// every put/get travels as real messages over the built host network.
+// every put/get travels as real messages over the built host network,
+// forwarded by the shared greedy rule of routing/route.hpp.
 //
 // Placement. A key hashes to a guest position key_to_guest(key); replica j
 // of R lives at replica_guest(key, j) = (key_to_guest(key) + j*N/R) mod N,
@@ -16,10 +17,13 @@
 // path). The host responsible for that guest stores the pair.
 //
 // Failures. A host can be marked down: it stops processing messages and
-// publishes `down` so neighbors route around it (one-round-stale heartbeat
-// knowledge, the standard assumption). A get whose route dead-ends or whose
-// primary is down simply times out at the client, which retries the next
-// replica position.
+// publishes `down` so neighbors stop forwarding to it (one-round-stale
+// heartbeat knowledge, the standard assumption). There is no fallback
+// route: a host forwards to the live neighbor whose guest precedes the
+// target most closely, even when that makes no progress, and the hop cap
+// (routing::hop_budget) ends the walk.
+// A get whose route dead-ends, runs out of hops or whose primary is down
+// simply times out at the client, which retries the next replica position.
 //
 // Clients. The one client is the open-loop dht::WorkloadDriver
 // (workload.hpp), armed by a scenario's `workload` directive; this header
@@ -33,9 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "core/network.hpp"
-#include "sim/engine.hpp"
-#include "util/interval_map.hpp"
+#include "routing/route.hpp"
 
 namespace chs::dht {
 
@@ -51,7 +53,7 @@ GuestId replica_guest(std::uint64_t key, std::uint32_t j,
 
 class KvProtocol {
  public:
-  static constexpr NodeId kNoneHost = ~std::uint64_t{0};
+  static constexpr NodeId kNoneHost = routing::kNoneHost;
   /// Active-set stepping (DESIGN.md D6): the data plane is purely
   /// message-driven, so only hosts with deliveries due (or freshly injected
   /// client ops, which state_mut wakes) run a step. Idle hosts cost nothing,
@@ -74,10 +76,7 @@ class KvProtocol {
     bool found = false;
   };
 
-  struct NodeState {
-    std::uint64_t lo = 0, hi = 0;                // responsible range
-    std::vector<util::IntervalMap<NodeId>> fwd;  // level k: hosts of range+2^k
-    NodeId succ = kNoneHost;
+  struct NodeState : routing::RouteTable {
     bool down = false;
     std::map<std::uint64_t, std::string> store;  // replicas this host holds
     std::vector<Message> to_send;                // client ops to fire
@@ -132,9 +131,10 @@ class KvProtocol {
 using KvEngine = sim::Engine<KvProtocol>;
 
 /// Snapshot a *converged* stabilizer engine's topology and routing state
-/// into a KV data-plane engine (same hand-off as routing::make_lookup_engine;
-/// CHS_CHECKs convergence). `max_message_delay` > 1 runs the plane under the
-/// §7 bounded-asynchrony model.
+/// into a KV data-plane engine (routing::snapshot_routes, the same hand-off
+/// as routing::make_lookup_engine; CHS_CHECKs convergence).
+/// `max_message_delay` > 1 runs the plane under the §7 bounded-asynchrony
+/// model.
 std::unique_ptr<KvEngine> make_kv_engine(const core::StabEngine& src,
                                          std::uint64_t seed,
                                          std::uint32_t max_message_delay = 1);

@@ -19,8 +19,9 @@ constexpr std::uint64_t kWorkloadSalt = 0x776f726b6c6f6164ULL;   // "workload"
 constexpr std::uint64_t kKvLossSalt = 0x6b766c6f737373ULL;       // "kvloss"
 
 // Per-attempt client budget: a greedy route is O(log N) host hops each
-// way (kvstore.cpp caps one leg at 4(log N + 2)), so 6(log N + 2) covers
-// there-and-back with slack for detours.
+// way, so 6(log N + 2) covers there-and-back with slack. A leg that stops
+// making progress circulates until routing::hop_budget (4(log N + 2)) ends
+// it, and the attempt times out.
 std::uint64_t auto_timeout(std::uint64_t n_guests, std::uint32_t max_delay) {
   return 6 *
          (static_cast<std::uint64_t>(util::ceil_log2(n_guests)) + 2) *

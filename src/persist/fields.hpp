@@ -336,10 +336,7 @@ void persist_fields(A& a, KvProtocol::Message& v) {
 
 template <typename A>
 void persist_fields(A& a, KvProtocol::NodeState& v) {
-  a(v.lo);
-  a(v.hi);
-  a(v.fwd);
-  a(v.succ);
+  a(static_cast<routing::RouteTable&>(v));
   a(v.down);
   a(v.store);
   a(v.to_send);
@@ -371,6 +368,14 @@ void persist_fields(A& a, InFlightOp& v) {
 namespace chs::routing {
 
 template <typename A>
+void persist_fields(A& a, RouteTable& v) {
+  a(v.lo);
+  a(v.hi);
+  a(v.fwd);
+  a(v.succ);
+}
+
+template <typename A>
 void persist_fields(A& a, LookupProtocol::Message& v) {
   a(v.lookup_id);
   a(v.target);
@@ -380,10 +385,7 @@ void persist_fields(A& a, LookupProtocol::Message& v) {
 
 template <typename A>
 void persist_fields(A& a, LookupProtocol::NodeState& v) {
-  a(v.lo);
-  a(v.hi);
-  a(v.fwd);
-  a(v.succ);
+  a(static_cast<RouteTable&>(v));
   a(v.delivered);
   a(v.to_send);
 }

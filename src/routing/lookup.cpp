@@ -7,15 +7,10 @@
 #include "avatar/range.hpp"
 #include "graph/analysis.hpp"
 #include "topology/cbt.hpp"
-#include "util/bitops.hpp"
 #include "util/check.hpp"
 
 namespace chs::routing {
 namespace {
-std::uint64_t clockwise(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
-}
-
 NodeId host_for(GuestId g, std::span<const NodeId> sorted_ids) {
   if (sorted_ids.empty()) return g;
   return avatar::host_of(g, sorted_ids);
@@ -58,29 +53,14 @@ LookupResult greedy_lookup(const topology::TargetSpec& target,
     return idx < alive->size() && (*alive)[idx];
   };
   if (!is_alive(s) || !is_alive(t)) return res;
-
-  GuestId cur = s;
-  const std::uint64_t budget = 4 * (util::ceil_log2(n_guests) + 2);
-  while (cur != t) {
-    if (res.guest_hops > budget) return res;  // stuck / cycling
-    GuestId best = cur;
-    std::uint64_t best_dist = clockwise(cur, t, n_guests);
-    for (GuestId v : guest_neighbors(target, cur, n_guests)) {
-      if (!is_alive(v)) continue;
-      const std::uint64_t d = clockwise(v, t, n_guests);
-      if (d < best_dist) {
-        best_dist = d;
-        best = v;
-      }
-    }
-    if (best == cur) return res;  // no progress possible
-    ++res.guest_hops;
-    if (host_for(best, sorted_ids) != host_for(cur, sorted_ids)) {
-      ++res.host_hops;
-    }
-    cur = best;
-  }
-  res.success = true;
+  const GuestId end = greedy_walk(
+      target, n_guests, s, t, is_alive, [&](GuestId from, GuestId to) {
+        ++res.guest_hops;
+        if (host_for(to, sorted_ids) != host_for(from, sorted_ids)) {
+          ++res.host_hops;
+        }
+      });
+  res.success = end == t;
   return res;
 }
 
@@ -144,29 +124,16 @@ CongestionStats target_congestion(const topology::TargetSpec& target,
                                   std::span<const NodeId> sorted_ids,
                                   std::size_t samples, util::Rng& rng) {
   std::map<NodeId, std::uint64_t> load;
-  const std::uint64_t budget = 4 * (util::ceil_log2(n_guests) + 2);
   for (std::size_t i = 0; i < samples; ++i) {
     const GuestId s = rng.next_below(n_guests);
     const GuestId t = rng.next_below(n_guests);
     // Walk the greedy route, charging every *intermediate* host one
     // forwarding event (endpoints serve, they do not forward).
-    GuestId cur = s;
-    std::uint64_t hops = 0;
-    while (cur != t && hops <= budget) {
-      GuestId best = cur;
-      std::uint64_t best_dist = clockwise(cur, t, n_guests);
-      for (GuestId v : guest_neighbors(target, cur, n_guests)) {
-        const std::uint64_t d = clockwise(v, t, n_guests);
-        if (d < best_dist) {
-          best_dist = d;
-          best = v;
-        }
-      }
-      if (best == cur) break;
-      cur = best;
-      ++hops;
-      if (cur != t) ++load[host_for(cur, sorted_ids)];
-    }
+    greedy_walk(
+        target, n_guests, s, t, [](GuestId) { return true; },
+        [&](GuestId, GuestId to) {
+          if (to != t) ++load[host_for(to, sorted_ids)];
+        });
   }
   return finalize_congestion(load, sorted_ids);
 }

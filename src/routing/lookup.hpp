@@ -15,18 +15,44 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "routing/route.hpp"
 #include "topology/target.hpp"
 #include "util/rng.hpp"
 
 namespace chs::routing {
 
-using graph::NodeId;
-using topology::GuestId;
-
 /// Guest-level neighbors of g in the final target topology (CBT tree edges
 /// plus kept span edges in both directions).
 std::vector<GuestId> guest_neighbors(const topology::TargetSpec& target,
                                      GuestId g, std::uint64_t n_guests);
+
+/// The one greedy guest-level walk: from s, repeatedly move to the neighbor
+/// `usable` accepts that is strictly clockwise-closest to t (the first in
+/// guest_neighbors order on ties), calling on_hop(from, to) for each move.
+/// Stops at t, when no neighbor makes progress, or after hop_budget(N) + 1
+/// moves; returns the guest it stopped at.
+template <class Usable, class OnHop>
+GuestId greedy_walk(const topology::TargetSpec& target, std::uint64_t n_guests,
+                    GuestId s, GuestId t, Usable&& usable, OnHop&& on_hop) {
+  const std::uint64_t budget = hop_budget(n_guests);
+  GuestId cur = s;
+  for (std::uint64_t hops = 0; cur != t && hops <= budget; ++hops) {
+    GuestId best = cur;
+    std::uint64_t best_dist = clockwise(cur, t, n_guests);
+    for (GuestId v : guest_neighbors(target, cur, n_guests)) {
+      if (!usable(v)) continue;
+      const std::uint64_t d = clockwise(v, t, n_guests);
+      if (d < best_dist) {
+        best_dist = d;
+        best = v;
+      }
+    }
+    if (best == cur) break;  // no progress possible
+    on_hop(cur, best);
+    cur = best;
+  }
+  return cur;
+}
 
 struct LookupResult {
   bool success = false;

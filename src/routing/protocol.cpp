@@ -3,51 +3,6 @@
 #include <algorithm>
 
 namespace chs::routing {
-namespace {
-std::uint64_t cw(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
-}
-}  // namespace
-
-NodeId LookupProtocol::next_hop(const NodeState& st, GuestId t,
-                                std::uint64_t n,
-                                const std::vector<NodeId>* usable) {
-  if (t >= st.lo && t < st.hi) return kNoneHost;  // local
-  // Closest-preceding-finger: among all guests reachable in one hop (the
-  // images of my range under +2^k, plus my successor's range start), pick
-  // the one that precedes t most closely on the ring.
-  NodeId best_host = kNoneHost;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  const auto consider = [&](GuestId g, NodeId host) {
-    if (host == kNoneHost) return;
-    if (usable != nullptr &&
-        !std::binary_search(usable->begin(), usable->end(), host)) {
-      return;
-    }
-    // distance from g forward to t; g must not overshoot (g == t allowed).
-    const std::uint64_t d = cw(g, t, n);
-    if (d < best_dist) {
-      best_dist = d;
-      best_host = host;
-    }
-  };
-  for (const auto& level : st.fwd) {
-    for (const auto& e : level.entries()) {
-      // The guest in [e.lo, e.hi) closest-preceding t:
-      GuestId g;
-      if (t >= e.lo && t < e.hi) {
-        g = t;
-      } else {
-        g = e.hi - 1;
-        // Compare both the last and first guest of the interval (ring).
-        if (cw(e.lo, t, n) < cw(g, t, n)) g = e.lo;
-      }
-      consider(g, e.value);
-    }
-  }
-  if (st.succ != kNoneHost) consider(st.hi % n, st.succ);
-  return best_host;
-}
 
 void LookupProtocol::schedule_wakeups(Ctx&) const {}
 
@@ -58,7 +13,8 @@ void LookupProtocol::step(Ctx& ctx) {
       st.delivered.emplace_back(m.target, m.hops);
       return;
     }
-    const NodeId next = next_hop(st, m.target, n_guests_, &ctx.neighbors());
+    const NodeId next = next_hop(st, m.target, n_guests_,
+                                 [&](NodeId h) { return ctx.is_neighbor(h); });
     if (next == kNoneHost || next == ctx.self()) {
       return;  // dead end: the lookup is dropped (counted as undelivered)
     }
@@ -82,20 +38,7 @@ void LookupProtocol::step(Ctx& ctx) {
 
 std::unique_ptr<LookupEngine> make_lookup_engine(const core::StabEngine& src,
                                                  std::uint64_t seed) {
-  const std::uint64_t n = src.protocol().params().n_guests;
-  graph::Graph g(src.graph().ids());
-  for (const auto& [u, v] : src.graph().edge_list()) g.add_edge(u, v);
-  auto eng = std::make_unique<LookupEngine>(std::move(g), LookupProtocol(n),
-                                            seed);
-  for (NodeId id : eng->graph().ids()) {
-    const auto& from = src.state(id);
-    auto& to = eng->state_mut(id);
-    to.lo = from.lo;
-    to.hi = from.hi;
-    to.fwd = from.fwd_maps;
-    to.succ = from.succ == stabilizer::kNone ? LookupProtocol::kNoneHost
-                                             : from.succ;
-  }
+  auto eng = snapshot_routes<LookupProtocol>(src, seed);
   eng->republish();
   return eng;
 }

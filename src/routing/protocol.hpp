@@ -1,11 +1,11 @@
 // In-band lookups: the application the overlay exists for, executed as real
 // messages over the *built* host network (not a god's-eye graph walk).
 //
-// Each host's routing table is exactly what the stabilizer left behind:
-// its responsible range and the per-level fwd interval maps ("who hosts my
-// range shifted by +2^k"). A lookup for guest t is forwarded Chord-style to
-// the neighbor hosting the closest guest preceding t reachable in one hop;
-// the ring level guarantees progress, the top levels make it logarithmic.
+// Each host forwards by the shared greedy rule of routing/route.hpp over the
+// RouteTable the stabilizer left behind, restricted to its current
+// neighbors: for pruned targets (skiplist, smallworld, hypercube) the
+// wave-built fwd maps can reference hosts whose span edges the DONE wave
+// removed.
 //
 // make_lookup_engine() snapshots a converged stabilizer engine — the
 // realistic hand-off from the maintenance plane to the data plane.
@@ -14,14 +14,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/network.hpp"
-#include "sim/engine.hpp"
-#include "util/interval_map.hpp"
+#include "routing/route.hpp"
 
 namespace chs::routing {
-
-using graph::NodeId;
-using topology::GuestId;
 
 class LookupProtocol {
  public:
@@ -36,10 +31,7 @@ class LookupProtocol {
     NodeId origin = kNoneHost;
     std::uint32_t hops = 0;
   };
-  struct NodeState {
-    std::uint64_t lo = 0, hi = 0;  // responsible range
-    std::vector<util::IntervalMap<NodeId>> fwd;  // level k: hosts of range+2^k
-    NodeId succ = kNoneHost;
+  struct NodeState : RouteTable {
     // Delivery log (target guest, hops) for lookups that ended here.
     std::vector<std::pair<GuestId, std::uint32_t>> delivered;
     // Injected lookups to fire on this host's next step: (target, id).
@@ -65,25 +57,14 @@ class LookupProtocol {
   template <typename A>
   void persist_fields(A&) {}
 
-  /// Best next hop for target t from a host with the given state; kNoneHost
-  /// when t is local or no neighbor makes progress. When `usable` is
-  /// non-null, only hosts in that sorted list are considered — the router
-  /// passes the current neighbor set, because for pruned targets (skiplist,
-  /// smallworld, hypercube) the wave-built fwd maps can reference hosts
-  /// whose span edges the DONE wave removed.
-  static NodeId next_hop(const NodeState& st, GuestId t, std::uint64_t n,
-                         const std::vector<NodeId>* usable = nullptr);
-
-  static constexpr NodeId kNoneHost = ~std::uint64_t{0};
-
  private:
   std::uint64_t n_guests_;
 };
 
 using LookupEngine = sim::Engine<LookupProtocol>;
 
-/// Snapshot a converged stabilizer engine into a lookup engine: same
-/// topology, routing state copied from each host's final protocol state.
+/// Snapshot a converged stabilizer engine into a lookup engine (see
+/// snapshot_routes; CHS_CHECKs convergence).
 std::unique_ptr<LookupEngine> make_lookup_engine(const core::StabEngine& src,
                                                  std::uint64_t seed);
 

@@ -1,0 +1,116 @@
+// The one greedy routing rule of the built overlay (DESIGN.md D13), shared
+// by both data planes: routing::LookupProtocol and dht::KvProtocol.
+//
+// A host's RouteTable is exactly what the stabilizer left behind: its
+// responsible range [lo, hi) and the per-level fwd interval maps ("who hosts
+// my range shifted by +2^k"), plus the host of the next range clockwise. A
+// message for guest t is forwarded Chord-style (Stoica et al., SIGCOMM 2001)
+// to the usable neighbor hosting the guest that precedes t most closely on
+// the ring; the ring level guarantees progress, the top levels make it
+// logarithmic. The caller decides which neighbors are usable (the lookup
+// plane: current neighbors; the KV plane: current neighbors whose heartbeat
+// is live).
+//
+// snapshot_routes() is the hand-off from the maintenance plane to the data
+// plane: it copies the host graph and every host's RouteTable out of a
+// converged stabilizer engine.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "core/network.hpp"
+#include "sim/engine.hpp"
+#include "stabilizer/state.hpp"
+#include "util/bitops.hpp"
+#include "util/check.hpp"
+#include "util/interval_map.hpp"
+
+namespace chs::routing {
+
+using graph::NodeId;
+using topology::GuestId;
+
+inline constexpr NodeId kNoneHost = ~std::uint64_t{0};
+static_assert(kNoneHost == stabilizer::kNone);
+
+/// Distance from guest `from` forward (clockwise) to guest `to` on the
+/// N-guest ring.
+inline std::uint64_t clockwise(GuestId from, GuestId to, std::uint64_t n) {
+  return (to + n - from) % n;
+}
+
+/// Hop budget of one greedy route on an N-guest ring: O(log N) with slack.
+/// Each walk applies its own comparison against it.
+inline std::uint64_t hop_budget(std::uint64_t n) {
+  return 4 * (util::ceil_log2(n) + 2);
+}
+
+struct RouteTable {
+  std::uint64_t lo = 0, hi = 0;                // responsible range
+  std::vector<util::IntervalMap<NodeId>> fwd;  // level k: hosts of range+2^k
+  NodeId succ = kNoneHost;
+};
+
+/// Closest-preceding-finger next hop for target t: among all guests reachable
+/// in one hop (the images of my range under +2^k, then my successor's range
+/// start), the host of the one that precedes t most closely, considering only
+/// hosts `usable(host)` accepts. The scan order is fixed (levels in order,
+/// then succ) and the first of equally close candidates wins. Returns
+/// kNoneHost when t is local or no usable neighbor exists; the winner may
+/// make no progress at all, so callers bound their walks by hop_budget.
+template <class Usable>
+NodeId next_hop(const RouteTable& rt, GuestId t, std::uint64_t n,
+                Usable&& usable) {
+  if (t >= rt.lo && t < rt.hi) return kNoneHost;  // local
+  NodeId best_host = kNoneHost;
+  std::uint64_t best_dist = ~std::uint64_t{0};
+  const auto consider = [&](GuestId g, NodeId host) {
+    if (host == kNoneHost || !usable(host)) return;
+    // distance from g forward to t; g must not overshoot (g == t allowed).
+    const std::uint64_t d = clockwise(g, t, n);
+    if (d < best_dist) {
+      best_dist = d;
+      best_host = host;
+    }
+  };
+  for (const auto& level : rt.fwd) {
+    for (const auto& e : level.entries()) {
+      // The guest in [e.lo, e.hi) closest-preceding t: t itself, else the
+      // closer of the interval's last and first guest (ring).
+      GuestId g;
+      if (t >= e.lo && t < e.hi) {
+        g = t;
+      } else {
+        g = e.hi - 1;
+        if (clockwise(e.lo, t, n) < clockwise(g, t, n)) g = e.lo;
+      }
+      consider(g, e.value);
+    }
+  }
+  if (rt.succ != kNoneHost) consider(rt.hi % n, rt.succ);
+  return best_host;
+}
+
+/// Snapshot a converged stabilizer engine into a data-plane engine of
+/// protocol P (constructed from N): same host graph, every host's RouteTable
+/// copied from its final stabilizer state. The caller republishes.
+template <class P>
+std::unique_ptr<sim::Engine<P>> snapshot_routes(const core::StabEngine& src,
+                                                std::uint64_t seed) {
+  CHS_CHECK_MSG(core::is_converged(src),
+                "a data plane requires a converged stabilizer engine");
+  graph::Graph g(src.graph().ids());
+  for (const auto& [u, v] : src.graph().edge_list()) g.add_edge(u, v);
+  auto eng = std::make_unique<sim::Engine<P>>(
+      std::move(g), P(src.protocol().params().n_guests), seed);
+  for (NodeId id : eng->graph().ids()) {
+    const auto& from = src.state(id);
+    RouteTable& to = eng->state_mut(id);
+    to = RouteTable{from.lo, from.hi, from.fwd_maps, from.succ};
+  }
+  return eng;
+}
+
+}  // namespace chs::routing

@@ -73,7 +73,9 @@ TEST(Embedding, LegalityIsExact) {
     }
     if (added) break;
   }
-  if (added) EXPECT_FALSE(is_legal_avatar(extra, topology::chord_target(), 16));
+  if (added) {
+    EXPECT_FALSE(is_legal_avatar(extra, topology::chord_target(), 16));
+  }
   // A missing edge breaks legality.
   graph::Graph missing = g;
   const auto el = missing.edge_list();

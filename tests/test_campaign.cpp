@@ -467,11 +467,14 @@ TEST(CampaignDeterminism, ReportBytesIdenticalAcrossJobThreadCounts) {
   sc.seed_lo = 1;
   sc.seed_hi = 3;
   sc.churn_at(0, 1).loss(5, 40, 0.25);
-  const auto r1 = campaign::run_campaign(sc, {.jobs = 1});
+  campaign::RunOptions opts;
+  opts.jobs = 1;
+  const auto r1 = campaign::run_campaign(sc, opts);
   ASSERT_EQ(r1.jobs, 6u);
   EXPECT_EQ(r1.converged_jobs, r1.jobs);
   for (std::size_t jobs : {2u, 8u}) {
-    const auto rk = campaign::run_campaign(sc, {.jobs = jobs});
+    opts.jobs = jobs;
+    const auto rk = campaign::run_campaign(sc, opts);
     EXPECT_EQ(r1.to_json(), rk.to_json()) << "jobs=" << jobs;
   }
 }
@@ -482,7 +485,9 @@ TEST(CampaignReport, AggregatesAndSerializesConsistently) {
   sc.seed_lo = 1;
   sc.seed_hi = 4;
   sc.churn_at(0, 1);
-  const auto rep = campaign::run_campaign(sc, {.jobs = 2});
+  campaign::RunOptions opts;
+  opts.jobs = 2;
+  const auto rep = campaign::run_campaign(sc, opts);
   ASSERT_EQ(rep.jobs, 4u);
   EXPECT_EQ(rep.converged_jobs, 4u);
   EXPECT_EQ(rep.events_total, 4u);

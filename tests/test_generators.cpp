@@ -18,7 +18,9 @@ TEST(Generators, SampleIdsDistinctSortedInRange) {
   ASSERT_EQ(ids.size(), 100u);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     EXPECT_LT(ids[i], 1u << 12);
-    if (i > 0) EXPECT_LT(ids[i - 1], ids[i]);
+    if (i > 0) {
+      EXPECT_LT(ids[i - 1], ids[i]);
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include "avatar/range.hpp"
 #include "graph/generators.hpp"
 #include "routing/lookup.hpp"
+#include "routing/route.hpp"
 #include "topology/chord.hpp"
 #include "util/bitops.hpp"
 
@@ -33,7 +34,9 @@ TEST(Routing, LookupReachesTarget) {
     for (GuestId t : {0ULL, 17ULL, 62ULL}) {
       const auto r = greedy_lookup(target, n, s, t, {});
       EXPECT_TRUE(r.success) << s << " -> " << t;
-      if (s == t) EXPECT_EQ(r.guest_hops, 0u);
+      if (s == t) {
+        EXPECT_EQ(r.guest_hops, 0u);
+      }
     }
   }
 }
@@ -108,6 +111,98 @@ TEST(Routing, CongestionMeanLoadTracksPathLength) {
   EXPECT_LE(c.mean_load, static_cast<double>(samples) *
                              (2.0 * (util::ceil_log2(n) + 1)) / 64.0);
   EXPECT_GE(c.imbalance, 1.0);
+}
+
+TEST(Routing, GreedyNumbersArePinned) {
+  // Exact guest-level numbers on Chord(1024) over 128 sampled hosts: any
+  // change to the greedy walk (neighbor order, tie rule, hop budget, host
+  // hop accounting) moves at least one field.
+  const std::uint64_t n = 1024;
+  const auto target = topology::chord_target();
+  util::Rng id_rng(3);
+  const auto ids = graph::sample_ids(128, n, id_rng);
+
+  util::Rng r1(7);
+  const auto all = lookup_stats(target, n, ids, 500, r1);
+  EXPECT_EQ(all.mean_guest_hops, 2350.0 / 500.0);
+  EXPECT_EQ(all.max_guest_hops, 10u);
+  EXPECT_EQ(all.mean_host_hops, 1704.0 / 500.0);
+  EXPECT_EQ(all.success_rate, 1.0);
+
+  std::vector<bool> alive(ids.size(), true);
+  for (std::size_t i = 0; i < alive.size(); i += 5) alive[i] = false;
+  util::Rng r2(13);
+  const auto some = lookup_stats(target, n, ids, 500, r2, &alive);
+  EXPECT_EQ(some.mean_guest_hops, 1234.0 / 236.0);
+  EXPECT_EQ(some.max_guest_hops, 11u);
+  EXPECT_EQ(some.mean_host_hops, 913.0 / 236.0);
+  EXPECT_EQ(some.success_rate, 236.0 / 500.0);
+
+  util::Rng r3(5);
+  const auto c = target_congestion(target, n, ids, 1000, r3);
+  EXPECT_EQ(c.mean_load, 3735.0 / 128.0);
+  EXPECT_EQ(c.max_load, 232u);
+  EXPECT_EQ(c.imbalance, 232.0 / (3735.0 / 128.0));
+  EXPECT_EQ(c.hottest, 308u);
+}
+
+// A hand-built host table on the 64-guest ring: range [8, 16), two fwd
+// levels that overlap on [24, 32), and a successor hosting guest 16.
+RouteTable hand_table() {
+  RouteTable rt;
+  rt.lo = 8;
+  rt.hi = 16;
+  rt.fwd.resize(2);
+  rt.fwd[0].assign(17, 24, 100);
+  rt.fwd[0].assign(24, 32, 101);
+  rt.fwd[1].assign(24, 32, 102);
+  rt.fwd[1].assign(40, 48, 103);
+  rt.succ = 104;
+  return rt;
+}
+
+const auto kAnyHost = [](NodeId) { return true; };
+
+TEST(Routing, NextHopOfLocalTargetIsNone) {
+  const RouteTable rt = hand_table();
+  for (GuestId t = rt.lo; t < rt.hi; ++t) {
+    EXPECT_EQ(next_hop(rt, t, 64, kAnyHost), kNoneHost) << t;
+  }
+}
+
+TEST(Routing, NextHopPicksClosestPrecedingGuestAcrossLevelsAndSucc) {
+  const RouteTable rt = hand_table();
+  EXPECT_EQ(next_hop(rt, 20, 64, kAnyHost), 100u);  // level 0 covers t
+  EXPECT_EQ(next_hop(rt, 45, 64, kAnyHost), 103u);  // level 1 covers t
+  EXPECT_EQ(next_hop(rt, 16, 64, kAnyHost), 104u);  // succ's guest is t
+  EXPECT_EQ(next_hop(rt, 36, 64, kAnyHost), 101u);  // guest 31, 5 short
+  EXPECT_EQ(next_hop(rt, 5, 64, kAnyHost), 103u);   // guest 47, across 0
+}
+
+TEST(Routing, NextHopSkipsRejectedHosts) {
+  const RouteTable rt = hand_table();
+  const auto without = [](std::vector<NodeId> rejected) {
+    return [rejected](NodeId h) {
+      return std::find(rejected.begin(), rejected.end(), h) == rejected.end();
+    };
+  };
+  EXPECT_EQ(next_hop(rt, 36, 64, without({101})), 102u);
+  EXPECT_EQ(next_hop(rt, 36, 64, without({101, 102})), 100u);
+  EXPECT_EQ(next_hop(rt, 16, 64, without({104})), 103u);
+  EXPECT_EQ(next_hop(rt, 36, 64, [](NodeId) { return false; }), kNoneHost);
+}
+
+TEST(Routing, NextHopTieGoesToTheEarlierLevel) {
+  // Guest 31 is reachable through host 101 (level 0) and host 102
+  // (level 1) at the same distance; the scan order decides, and the KV
+  // data plane's traffic (and the serve benchmark digest) depends on it.
+  const RouteTable rt = hand_table();
+  EXPECT_EQ(next_hop(rt, 36, 64, kAnyHost), 101u);
+  EXPECT_EQ(next_hop(rt, 26, 64, kAnyHost), 101u);
+  // succ is scanned last: a level that reaches succ's guest 16 wins it.
+  RouteTable tied = rt;
+  tied.fwd[1].assign(16, 17, 105);
+  EXPECT_EQ(next_hop(tied, 16, 64, kAnyHost), 105u);
 }
 
 TEST(Routing, RobustnessChordBeatsCbt) {

@@ -326,13 +326,16 @@ TEST(WorkloadDeterminism, ReportBytesIdenticalAcrossJobThreadCounts) {
   Scenario sc = serving_scenario();
   sc.seed_lo = 1;
   sc.seed_hi = 3;
-  const auto r1 = campaign::run_campaign(sc, {.jobs = 1});
+  campaign::RunOptions opts;
+  opts.jobs = 1;
+  const auto r1 = campaign::run_campaign(sc, opts);
   ASSERT_EQ(r1.jobs, 3u);
   const auto json = r1.to_json();
   EXPECT_NE(json.find("\"workload\""), std::string::npos);
   EXPECT_NE(json.find("\"availability\""), std::string::npos);
   for (const std::size_t jobs : {2u, 4u}) {
-    const auto rk = campaign::run_campaign(sc, {.jobs = jobs});
+    opts.jobs = jobs;
+    const auto rk = campaign::run_campaign(sc, opts);
     EXPECT_EQ(rk.to_json(), json) << "jobs=" << jobs;
   }
   // Per-sample workload fields appear in the JSON series block.
