@@ -195,7 +195,8 @@ class NodeCtx {
   /// v is not a neighbor. The last lookup is memoized: protocols typically
   /// probe the same neighbor from several checks within one step, and the
   /// repeat costs an is_neighbor binary search over this node's short
-  /// neighbor list without the cache.
+  /// neighbor list without the cache. A loop over neighbors() reads each
+  /// element through view_at instead.
   SnapshotView view(NodeId v) const {
     if (v == view_cache_id_) return view_cache_;
     SnapshotView p =
@@ -203,6 +204,17 @@ class NodeCtx {
     view_cache_id_ = v;
     view_cache_ = p;
     return p;
+  }
+
+  /// Previous-round public state of neighbors()[k] (k < neighbors().size()):
+  /// what view(neighbors()[k]) returns, always a true-y view, but without
+  /// the membership search — the position already proves v is a neighbor.
+  /// Leaves view()'s one-entry cache alone: a loop over the neighbor list
+  /// reads each element once, so caching it would only evict the entry a
+  /// later view() probe could reuse.
+  SnapshotView view_at(std::size_t k) const {
+    CHS_DCHECK(k < neighbors_->size());
+    return engine_->snapshot_view((*neighbors_)[k]);
   }
 
   /// Send a message over an existing edge; delivered after the engine's

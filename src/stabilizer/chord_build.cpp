@@ -217,10 +217,11 @@ void Protocol::apply_done_prune(Ctx& ctx) {
       }
     }
   }
-  for (NodeId v : ctx.neighbors()) {
+  const auto& nbrs = ctx.neighbors();
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    const NodeId v = nbrs[k];
     if (needed.count(v)) continue;
-    const auto view = ctx.view(v);
-    if (!view) continue;
+    const auto view = ctx.view_at(k);
     if (view->cluster != st.cluster) continue;  // detector's business
     // No connectivity certificate needed here: `needed` contains my whole
     // verified tree structure (boundary/parent/succ/pred), which is never

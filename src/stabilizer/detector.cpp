@@ -110,17 +110,25 @@ bool Protocol::check_local(Ctx& ctx) const {
     CHS_FAULT();
   };
 
-  const auto check_structural = [&](GuestId pos, NodeId host,
-                                    bool pos_in_their_range) {
+  // Every check of a boundary/parent reference but the range check depends
+  // on the referenced host alone, and the references come in runs naming
+  // the same host (a boundary map often ends on the host the parent map
+  // starts with). The last host that passed them is remembered across both
+  // loops, so a repeat runs only the range check at its own position; the
+  // first check to fail is the same one either way.
+  NodeId checked_host = kNone;
+  Ctx::SnapshotView ref{};
+  const auto check_structural = [&](GuestId pos, NodeId host) {
     if (host == kNone || host == st.id) CHS_FAULT();
-    if (!ctx.is_neighbor(host)) CHS_FAULT();
-    const auto v = ctx.view(host);
-    if (!v) CHS_FAULT();
-    if (!cluster_ok(*v)) CHS_FAULT();
-    if (!merge_window && pos_in_their_range &&
-        (pos < v->lo || pos >= v->hi)) {
-      CHS_FAULT();
+    const bool repeat = host == checked_host;
+    if (!repeat) {
+      if (!ctx.is_neighbor(host)) CHS_FAULT();
+      ref = ctx.view(host);
+      if (!ref) CHS_FAULT();
+      if (!cluster_ok(*ref)) CHS_FAULT();
     }
+    if (!merge_window && (pos < ref->lo || pos >= ref->hi)) CHS_FAULT();
+    if (repeat) return true;
     // Reciprocity: every crossing edge is held by both endpoints, so a
     // legal boundary/parent reference is mirrored by the peer (my parent's
     // boundary map names me, and vice versa). A reference the peer does
@@ -130,11 +138,12 @@ bool Protocol::check_local(Ctx& ctx) const {
     // invariant oracle: edge hygiene used to "detect" it by severing the
     // referenced edge, manufacturing the very dangling-reference fault I4
     // forbids; now the referencing host detects it itself).
-    if (!merge_window && !v->considers_structural(st.id)) CHS_FAULT();
+    if (!merge_window && !ref->considers_structural(st.id)) CHS_FAULT();
+    checked_host = host;
     return true;
   };
   for (const auto& [pos, host] : st.boundary_host) {
-    if (!check_structural(pos, host, true)) CHS_FAULT();
+    if (!check_structural(pos, host)) CHS_FAULT();
   }
   // parent_host is keyed by my entry position; the *parent* position must
   // lie in the neighbor's range. Check 1 matched its keys to the fragments
@@ -142,7 +151,7 @@ bool Protocol::check_local(Ctx& ctx) const {
   auto ph = st.parent_host.begin();
   for (const auto& f : st.frags) {
     if (!f.parent_pos) continue;  // the guest root has no parent entry
-    if (!check_structural(*f.parent_pos, (ph++)->second, true)) CHS_FAULT();
+    if (!check_structural(*f.parent_pos, (ph++)->second)) CHS_FAULT();
   }
   if (st.succ != kNone) {
     if (!ctx.is_neighbor(st.succ)) CHS_FAULT();
@@ -166,9 +175,8 @@ bool Protocol::check_local(Ctx& ctx) const {
   // so *every* neighbor must belong to it — an edge to another cluster is
   // exactly the "neighbor it would not have in the correct configuration".
   if (st.phase != Phase::kCbt) {
-    for (NodeId v : ctx.neighbors()) {
-      const auto view = ctx.view(v);
-      if (!view) continue;
+    for (std::size_t k = 0; k < ctx.neighbors().size(); ++k) {
+      const auto view = ctx.view_at(k);
       if (!cluster_ok(*view)) CHS_FAULT();
       if (view->phase == st.phase) continue;
       const bool wave_explains = st.in_phase_wave || st.in_done_wave ||

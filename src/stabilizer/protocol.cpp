@@ -193,10 +193,9 @@ NodeId Protocol::deletion_certificate(
 std::vector<NodeId> Protocol::external_neighbors(Ctx& ctx) const {
   std::vector<NodeId> out;
   const HostState& st = ctx.state();
-  for (NodeId v : ctx.neighbors()) {
-    const auto view = ctx.view(v);
-    if (!view) continue;
-    if (view->cluster != st.cluster) out.push_back(v);
+  const auto& nbrs = ctx.neighbors();
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    if (ctx.view_at(k)->cluster != st.cluster) out.push_back(nbrs[k]);
   }
   return out;
 }
@@ -206,10 +205,11 @@ void Protocol::classify_and_clean_edges(Ctx& ctx) {
   if (st.phase != Phase::kCbt) return;  // DONE prune handles the rest
   if (st.merge.stage != MergeStage::kNone) return;
   const auto structural = structural_neighbors(st);
-  for (NodeId v : ctx.neighbors()) {
+  const auto& nbrs = ctx.neighbors();
+  for (std::size_t k = 0; k < nbrs.size(); ++k) {
+    const NodeId v = nbrs[k];
     if (std::binary_search(structural.begin(), structural.end(), v)) continue;
-    const auto view = ctx.view(v);
-    if (!view) continue;
+    const auto view = ctx.view_at(k);
     if (view->cluster != st.cluster) continue;      // genuine external edge
     if (view->merging_with != kNone) continue;      // peer busy; wait
     // Bilateral rule: an edge is junk only when *neither* end counts it as

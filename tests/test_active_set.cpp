@@ -139,6 +139,62 @@ TEST(Determinism, SeedEngineGoldensAsyncDelay) {
   }
 }
 
+// The goldens above pin rounds, messages, resets and peak degree, but not
+// the edge-hygiene counts: junk-edge deletions and the stale-certificate
+// drops the engine makes at apply time. These are what the stabilizer's
+// neighbor loops (classify_and_clean_edges, the DONE prune) drive, so a
+// change to how those loops read views must leave them exactly as they
+// were. Counts are cumulative engine metrics after a random-tree cold start
+// and again after a 4-host churn burst on the converged network.
+struct HygieneCounts {
+  std::uint64_t rounds, messages, nodes_stepped, edge_adds, edge_dels,
+      stale_cert_drops, total_resets;
+  bool operator==(const HygieneCounts&) const = default;
+};
+
+void PrintTo(const HygieneCounts& c, std::ostream* os) {
+  *os << "{" << c.rounds << ", " << c.messages << ", " << c.nodes_stepped
+      << ", " << c.edge_adds << ", " << c.edge_dels << ", "
+      << c.stale_cert_drops << ", " << c.total_resets << "}";
+}
+
+HygieneCounts hygiene_counts(const StabEngine& eng) {
+  const auto& m = eng.metrics();
+  return {m.rounds(),    m.messages(),         m.nodes_stepped(),
+          m.edge_adds(), m.edge_dels(),        m.stale_cert_drops(),
+          core::total_resets(eng)};
+}
+
+TEST(Determinism, EdgeHygieneCountsArePinned) {
+  util::set_log_level(util::LogLevel::kError);
+  struct HygieneGolden {
+    std::uint64_t seed;
+    HygieneCounts cold, churned;
+  };
+  // Recorded before the stabilizer's neighbor loops switched to reading
+  // views by position (NodeCtx::view_at).
+  const HygieneGolden goldens[] = {
+      {1u,
+       {2633u, 17247u, 63563u, 946u, 522u, 391u, 2u},
+       {4979u, 33119u, 136252u, 1679u, 1197u, 1094u, 62u}},
+      {2u,
+       {3203u, 17897u, 70562u, 850u, 461u, 333u, 4u},
+       {5118u, 30818u, 133357u, 1464u, 1030u, 826u, 68u}},
+  };
+  for (const HygieneGolden& g : goldens) {
+    util::Rng rng(g.seed);
+    auto ids = graph::sample_ids(64, 256, rng);
+    Params p;
+    p.n_guests = 256;
+    auto eng = core::make_engine(graph::make_random_tree(ids, rng), p, g.seed);
+    ASSERT_TRUE(core::run_to_convergence(*eng, 400000).converged);
+    EXPECT_EQ(hygiene_counts(*eng), g.cold) << "seed=" << g.seed;
+    core::churn_burst(*eng, 4, rng);
+    ASSERT_TRUE(core::run_to_convergence(*eng, 400000).converged);
+    EXPECT_EQ(hygiene_counts(*eng), g.churned) << "seed=" << g.seed;
+  }
+}
+
 // --- kAll vs kActiveSet equivalence --------------------------------------
 
 std::unique_ptr<StabEngine> scenario_engine(sim::StepMode mode) {

@@ -3,6 +3,8 @@
 // importantly, clean executions must never trip it (no false faults).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/network.hpp"
 #include "graph/generators.hpp"
 #include "util/bitops.hpp"
@@ -135,6 +137,35 @@ TEST(Detector, RangeRewrittenWithoutRecomputeIsFlagged) {
   auto& st = eng->state_mut(victim);
   st.recent_until = eng->round() + 1000;
   st.hi -= 1;
+  eng->republish();
+  eng->step_round();
+  EXPECT_EQ(eng->state(victim).resets, 1u);
+}
+
+TEST(Detector, RepeatedReferenceHostIsRangeCheckedAtEachPosition) {
+  // Check 3 runs its host-level checks once per run of references naming
+  // the same host, but the range check at every position. Re-point a
+  // boundary entry at the host the entry before it names: that host is
+  // still a neighbor, in the victim's cluster, and still reciprocates, so
+  // only the range check at the re-pointed position can flag it.
+  auto eng = legal_cbt_engine(256, 32, Phase::kCbt);
+  NodeId victim = stabilizer::kNone, h1 = stabilizer::kNone;
+  stabilizer::GuestId p2 = 0;
+  for (NodeId id : eng->graph().ids()) {
+    const auto& bh = eng->state(id).boundary_host;
+    const auto it = std::adjacent_find(
+        bh.begin(), bh.end(),
+        [](const auto& a, const auto& b) { return a.second != b.second; });
+    if (it == bh.end()) continue;
+    victim = id;
+    h1 = it->second;
+    p2 = std::next(it)->first;
+    break;
+  }
+  ASSERT_NE(victim, stabilizer::kNone);
+  const HostState& peer = eng->state(h1);
+  ASSERT_TRUE(p2 < peer.lo || p2 >= peer.hi);
+  eng->state_mut(victim).boundary_host[p2] = h1;
   eng->republish();
   eng->step_round();
   EXPECT_EQ(eng->state(victim).resets, 1u);

@@ -88,6 +88,57 @@ TEST(Engine, NeighborViewsAreOneRoundStale) {
   EXPECT_EQ(eng.state(1).seen_from_peer, 2);
 }
 
+// --- PositionalViewer: view_at(k) is view(neighbors()[k]) on every step,
+// while the edge churn below keeps reshaping each neighbor list. Even
+// rounds close a triangle over the first and last neighbor; odd rounds have
+// even-id nodes of degree > 3 drop their last neighbor. ---
+struct PositionalViewer {
+  struct Message {};
+  struct NodeState {
+    NodeId id = 0;
+    std::uint64_t views_checked = 0;
+  };
+  struct PublicState {
+    NodeId id = 0;
+  };
+  void init_node(NodeId id, NodeState& st, util::Rng&) { st.id = id; }
+  void publish(const NodeState& st, PublicState& pub) { pub.id = st.id; }
+  void step(NodeCtx<PositionalViewer>& ctx) {
+    const auto& nbrs = ctx.neighbors();
+    for (std::size_t k = 0; k < nbrs.size(); ++k) {
+      const auto* at = ctx.view_at(k);
+      ASSERT_EQ(at, ctx.view(nbrs[k]));
+      ASSERT_EQ(at->id, nbrs[k]);
+      ++ctx.state().views_checked;
+    }
+    if (nbrs.size() < 2) return;
+    if (ctx.round() % 2 == 0) {
+      ctx.introduce(nbrs.front(), nbrs.back());
+    } else if (ctx.self() % 2 == 0 && nbrs.size() > 3) {
+      ctx.disconnect(nbrs.back());
+    }
+  }
+};
+
+TEST(Engine, ViewAtMatchesViewOfEveryNeighbor) {
+  util::Rng rng(5);
+  std::vector<NodeId> ids(24);
+  for (NodeId i = 0; i < ids.size(); ++i) ids[i] = i;
+  Engine<PositionalViewer> eng(graph::make_random_tree(ids, rng),
+                               PositionalViewer{}, 1);
+  std::uint64_t degree_sum = 0;
+  for (int r = 0; r < 12; ++r) {
+    degree_sum += 2 * eng.graph().num_edges();
+    eng.step_round();
+  }
+  std::uint64_t checked = 0;
+  for (NodeId id : ids) checked += eng.state(id).views_checked;
+  // Every step read every neighbor by position, and the lists changed.
+  EXPECT_EQ(checked, degree_sum);
+  EXPECT_GT(eng.metrics().edge_adds(), 0u);
+  EXPECT_GT(eng.metrics().edge_dels(), 0u);
+}
+
 // --- Introducer: the hub of a star introduces its neighbors pairwise in
 // round 0; leaf nodes then message their new neighbors. ---
 struct Introducer {
