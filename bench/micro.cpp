@@ -15,6 +15,8 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "avatar/range.hpp"
 #include "campaign/runner.hpp"
@@ -24,6 +26,7 @@
 #include "obs/series.hpp"
 #include "persist/fields.hpp"
 #include "persist/io.hpp"
+#include "routing/route.hpp"
 #include "stabilizer/guest_model.hpp"
 #include "topology/cbt.hpp"
 #include "topology/target.hpp"
@@ -530,6 +533,59 @@ void BM_EngineStabilize(benchmark::State& state) {
       static_cast<double>(stepped), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_EngineStabilize)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// --- data-plane routing -----------------------------------------------------
+
+// One greedy next-hop decision (routing::next_hop) on the route tables of a
+// converged 2048-host, 4096-guest network, the serve workload's shape, for a
+// seeded cycle of (host, target) pairs. Arg: 0 = every host usable, 1 = a
+// seeded quarter of the hosts unusable, so some decisions reject candidates.
+// checks_per_hop counts the usable() calls one decision makes.
+void BM_NextHop(benchmark::State& state) {
+  struct Fixture {
+    std::uint64_t guests = 0;
+    std::vector<chs::routing::RouteTable> tables;
+    std::vector<std::pair<std::size_t, chs::routing::GuestId>> queries;
+    std::vector<bool> down;  // by host id
+  };
+  static const Fixture fx = [] {
+    Fixture f;
+    const auto eng = build_quiescent(2048);
+    f.guests = eng->protocol().params().n_guests;
+    for (chs::graph::NodeId id : eng->graph().ids()) {
+      const auto& st = eng->state(id);
+      f.tables.push_back({st.lo, st.hi, st.fwd_maps, st.succ});
+      if (id >= f.down.size()) f.down.resize(id + 1);
+    }
+    chs::util::Rng rng(22);
+    for (chs::graph::NodeId id : eng->graph().ids()) {
+      f.down[id] = rng.next_below(4) == 0;
+    }
+    for (int i = 0; i < 4096; ++i) {
+      f.queries.emplace_back(rng.next_below(f.tables.size()),
+                             rng.next_below(f.guests));
+    }
+    return f;
+  }();
+  const bool with_down = state.range(0) != 0;
+  std::uint64_t checks = 0, hops = 0;
+  std::size_t q = 0;
+  for (auto _ : state) {
+    const auto& [host, target] = fx.queries[q];
+    q = q + 1 == fx.queries.size() ? 0 : q + 1;
+    const auto next = chs::routing::next_hop(
+        fx.tables[host], target, fx.guests, [&](chs::graph::NodeId h) {
+          ++checks;
+          return !(with_down && fx.down[h]);
+        });
+    benchmark::DoNotOptimize(next);
+    ++hops;
+  }
+  state.counters["checks_per_hop"] = benchmark::Counter(
+      static_cast<double>(checks) / static_cast<double>(hops == 0 ? 1 : hops));
+  state.SetItemsProcessed(static_cast<std::int64_t>(hops));
+}
+BENCHMARK(BM_NextHop)->Arg(0)->Arg(1);
 
 // Campaign fan-out: a fixed 16-job scenario (converged start + a churn
 // burst per job) at jobs=1 vs jobs=hardware threads. The report is

@@ -1,5 +1,7 @@
 #include "dht/kvstore.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
 
 namespace chs::dht {
@@ -65,8 +67,8 @@ void KvProtocol::step(Ctx& ctx) {
     return;
   }
 
+  // view() is null for a non-neighbor, so it alone is the membership test.
   const auto is_live = [&](NodeId h) {
-    if (!ctx.is_neighbor(h)) return false;
     const auto* view = ctx.view(h);
     return view != nullptr && !view->down;
   };
@@ -124,7 +126,7 @@ void KvProtocol::step(Ctx& ctx) {
       const NodeId next = routing::next_hop(st, m.target, n_guests_, is_live);
       if (next == kNoneHost || next == ctx.self()) return;  // dead end: drop
       ++m.hops;
-      ctx.send(next, m);
+      ctx.send(next, std::move(m));
       return;
     }
   };

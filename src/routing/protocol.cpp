@@ -1,6 +1,7 @@
 #include "routing/protocol.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace chs::routing {
 
@@ -20,7 +21,7 @@ void LookupProtocol::step(Ctx& ctx) {
     }
     Message fwd = m;
     ++fwd.hops;
-    ctx.send(next, fwd);
+    ctx.send(next, std::move(fwd));
   };
 
   // Fire whatever was injected since the last step (state_mut woke us);

@@ -36,9 +36,10 @@ inline constexpr NodeId kNoneHost = ~std::uint64_t{0};
 static_assert(kNoneHost == stabilizer::kNone);
 
 /// Distance from guest `from` forward (clockwise) to guest `to` on the
-/// N-guest ring.
+/// N-guest ring; both must lie in [0, n).
 inline std::uint64_t clockwise(GuestId from, GuestId to, std::uint64_t n) {
-  return (to + n - from) % n;
+  CHS_DCHECK(from < n && to < n);
+  return to >= from ? to - from : to + n - from;
 }
 
 /// Hop budget of one greedy route on an N-guest ring: O(log N) with slack.
@@ -60,37 +61,50 @@ struct RouteTable {
 /// then succ) and the first of equally close candidates wins. Returns
 /// kNoneHost when t is local or no usable neighbor exists; the winner may
 /// make no progress at all, so callers bound their walks by hop_budget.
+///
+/// Candidates are ranked by (distance to t, scan position), and the answer
+/// is the first usable one in that order. Each pass over the table is pure
+/// arithmetic and picks the best candidate ranked after the last rejected
+/// one; only that candidate is handed to `usable`. With every host usable
+/// that is one pass and one check; each rejected candidate costs one more
+/// pass.
 template <class Usable>
 NodeId next_hop(const RouteTable& rt, GuestId t, std::uint64_t n,
                 Usable&& usable) {
   if (t >= rt.lo && t < rt.hi) return kNoneHost;  // local
-  NodeId best_host = kNoneHost;
-  std::uint64_t best_dist = ~std::uint64_t{0};
-  const auto consider = [&](GuestId g, NodeId host) {
-    if (host == kNoneHost || !usable(host)) return;
-    // distance from g forward to t; g must not overshoot (g == t allowed).
-    const std::uint64_t d = clockwise(g, t, n);
-    if (d < best_dist) {
-      best_dist = d;
-      best_host = host;
-    }
-  };
-  for (const auto& level : rt.fwd) {
-    for (const auto& e : level.entries()) {
-      // The guest in [e.lo, e.hi) closest-preceding t: t itself, else the
-      // closer of the interval's last and first guest (ring).
-      GuestId g;
-      if (t >= e.lo && t < e.hi) {
-        g = t;
-      } else {
-        g = e.hi - 1;
-        if (clockwise(e.lo, t, n) < clockwise(g, t, n)) g = e.lo;
+  const GuestId succ_guest = rt.hi % n;
+  // Rank of the last rejected candidate: a pass skips it and everything
+  // ranked before it. Scan positions start at 1, so the initial (0, 0)
+  // skips nothing.
+  std::uint64_t floor_dist = 0;
+  std::size_t floor_pos = 0;
+  while (true) {
+    NodeId best_host = kNoneHost;
+    std::uint64_t best_dist = ~std::uint64_t{0};
+    std::size_t best_pos = 0, pos = 0;
+    const auto consider = [&](GuestId g, NodeId host) {
+      ++pos;
+      // distance from g forward to t; g must not overshoot (g == t allowed).
+      const std::uint64_t d = clockwise(g, t, n);
+      if (d < best_dist && host != kNoneHost &&
+          (d > floor_dist || (d == floor_dist && pos > floor_pos))) {
+        best_dist = d;
+        best_host = host;
+        best_pos = pos;
       }
-      consider(g, e.value);
+    };
+    for (const auto& level : rt.fwd) {
+      for (const auto& e : level.entries()) {
+        // The guest in [e.lo, e.hi) closest-preceding t: t itself, else the
+        // last one (entries never wrap, so distance to t falls along them).
+        consider(t >= e.lo && t < e.hi ? t : e.hi - 1, e.value);
+      }
     }
+    consider(succ_guest, rt.succ);
+    if (best_host == kNoneHost || usable(best_host)) return best_host;
+    floor_dist = best_dist;
+    floor_pos = best_pos;
   }
-  if (rt.succ != kNoneHost) consider(rt.hi % n, rt.succ);
-  return best_host;
 }
 
 /// Snapshot a converged stabilizer engine into a data-plane engine of

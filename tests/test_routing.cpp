@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "avatar/range.hpp"
 #include "graph/generators.hpp"
 #include "routing/lookup.hpp"
@@ -203,6 +205,155 @@ TEST(Routing, NextHopTieGoesToTheEarlierLevel) {
   RouteTable tied = rt;
   tied.fwd[1].assign(16, 17, 105);
   EXPECT_EQ(next_hop(tied, 16, 64, kAnyHost), 105u);
+}
+
+// The scan loop next_hop replaced, kept as the reference: every candidate is
+// checked with `usable`, and the strictly closer one wins, so ties go to the
+// earlier scan position.
+template <class Usable>
+NodeId reference_next_hop(const RouteTable& rt, GuestId t, std::uint64_t n,
+                          Usable&& usable) {
+  const auto dist = [n](GuestId from, GuestId to) {
+    return (to + n - from) % n;
+  };
+  if (t >= rt.lo && t < rt.hi) return kNoneHost;
+  NodeId best_host = kNoneHost;
+  std::uint64_t best_dist = ~std::uint64_t{0};
+  const auto consider = [&](GuestId g, NodeId host) {
+    if (host == kNoneHost || !usable(host)) return;
+    const std::uint64_t d = dist(g, t);
+    if (d < best_dist) {
+      best_dist = d;
+      best_host = host;
+    }
+  };
+  for (const auto& level : rt.fwd) {
+    for (const auto& e : level.entries()) {
+      GuestId g;
+      if (t >= e.lo && t < e.hi) {
+        g = t;
+      } else {
+        g = e.hi - 1;
+        if (dist(e.lo, t) < dist(g, t)) g = e.lo;
+      }
+      consider(g, e.value);
+    }
+  }
+  if (rt.succ != kNoneHost) consider(rt.hi % n, rt.succ);
+  return best_host;
+}
+
+constexpr NodeId kFirstHost = 100;
+
+// A random route table on the n-guest ring. Each level is a run of disjoint
+// intervals between sorted cut points; on a coarse grid the levels share cut
+// points, so equally close candidates across levels are common. Hosts come
+// from a pool of `hosts`, so one host often appears at several positions.
+RouteTable random_table(util::Rng& rng, std::uint64_t n, std::uint64_t hosts,
+                        bool coarse) {
+  const std::uint64_t grid = coarse ? std::max<std::uint64_t>(n / 8, 1) : 1;
+  const auto cut = [&] { return rng.next_below(n / grid + 1) * grid; };
+  RouteTable rt;
+  rt.lo = cut();
+  rt.hi = cut();
+  if (rt.lo > rt.hi) std::swap(rt.lo, rt.hi);
+  if (rt.lo == rt.hi) {
+    if (rt.hi == n) {
+      --rt.lo;
+    } else {
+      ++rt.hi;
+    }
+  }
+  rt.fwd.resize(1 + rng.next_below(6));
+  for (auto& level : rt.fwd) {
+    std::vector<std::uint64_t> cuts{0, n};  // entries start at 0 and end at n
+    for (std::uint64_t i = rng.next_below(8); i > 0; --i) cuts.push_back(cut());
+    std::sort(cuts.begin(), cuts.end());
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      if (rng.next_below(4) == 0) continue;  // a gap in the level's cover
+      // An entry may also name no host at all.
+      level.assign(cuts[i], cuts[i + 1],
+                   rng.next_below(8) == 0 ? kNoneHost
+                                          : kFirstHost + rng.next_below(hosts));
+    }
+  }
+  rt.succ = rng.next_below(5) == 0 ? kNoneHost
+                                   : kFirstHost + rng.next_below(hosts);
+  return rt;
+}
+
+TEST(Routing, NextHopMatchesTheFullScanReference) {
+  util::Rng rng(2201);
+  std::uint64_t compared = 0, found = 0, ties = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::uint64_t n = std::uint64_t{1} << (2 + rng.next_below(9));
+    const std::uint64_t hosts = 1 + rng.next_below(12);
+    const RouteTable rt = random_table(rng, n, hosts, trial % 2 == 0);
+    // Usable masks over the host pool: all, none, a random quarter and a
+    // random three quarters.
+    std::vector<std::vector<bool>> masks{std::vector<bool>(hosts, true),
+                                         std::vector<bool>(hosts, false)};
+    for (std::uint64_t keep_of_4 : {1, 3}) {
+      std::vector<bool> m(hosts);
+      for (std::uint64_t h = 0; h < hosts; ++h) {
+        m[h] = rng.next_below(4) < keep_of_4;
+      }
+      masks.push_back(std::move(m));
+    }
+    for (int k = 0; k < 8; ++k) {
+      const GuestId t = rng.next_below(n);
+      // A tie: two level entries at the nearest distance to a remote t.
+      std::uint64_t nearest = ~std::uint64_t{0}, at_nearest = 0;
+      for (const auto& level : rt.fwd) {
+        for (const auto& e : level.entries()) {
+          const GuestId g = t >= e.lo && t < e.hi ? t : e.hi - 1;
+          const std::uint64_t d = clockwise(g, t, n);
+          if (d < nearest) {
+            nearest = d;
+            at_nearest = 0;
+          }
+          if (d == nearest) ++at_nearest;
+        }
+      }
+      ties += at_nearest > 1 && !(t >= rt.lo && t < rt.hi);
+      for (const auto& mask : masks) {
+        const auto usable = [&](NodeId h) { return mask[h - kFirstHost]; };
+        const NodeId want = reference_next_hop(rt, t, n, usable);
+        ASSERT_EQ(next_hop(rt, t, n, usable), want)
+            << "trial " << trial << " n=" << n << " t=" << t;
+        ++compared;
+        found += want != kNoneHost;
+      }
+    }
+  }
+  // The inputs reach every branch: hits, misses and ties.
+  EXPECT_EQ(compared, 3000u * 8u * 4u);
+  EXPECT_GT(found, compared / 4);
+  EXPECT_LT(found, compared);
+  EXPECT_GT(ties, 1000u);
+}
+
+TEST(Routing, NextHopChecksOnlyTheNearestCandidateWhenItIsUsable) {
+  util::Rng rng(2202);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::uint64_t n = std::uint64_t{1} << (2 + rng.next_below(9));
+    const std::uint64_t hosts = 1 + rng.next_below(12);
+    const RouteTable rt = random_table(rng, n, hosts, trial % 2 == 0);
+    const GuestId t = rng.next_below(n);
+    const NodeId nearest = reference_next_hop(rt, t, n, kAnyHost);
+    if (nearest == kNoneHost) continue;
+    // Any mask that accepts the nearest candidate's host.
+    std::vector<bool> mask(hosts);
+    for (std::uint64_t h = 0; h < hosts; ++h) mask[h] = rng.next_bool();
+    mask[nearest - kFirstHost] = true;
+    int calls = 0;
+    const auto usable = [&](NodeId h) {
+      ++calls;
+      return static_cast<bool>(mask[h - kFirstHost]);
+    };
+    ASSERT_EQ(next_hop(rt, t, n, usable), nearest) << "trial " << trial;
+    ASSERT_EQ(calls, 1) << "trial " << trial;
+  }
 }
 
 TEST(Routing, RobustnessChordBeatsCbt) {
