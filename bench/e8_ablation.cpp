@@ -5,10 +5,7 @@
 //       of the wave time is "virtual" levels inside a host;
 //   (b) matching epoch length (epoch_units) — too short starves the
 //       poll/grant handshake, too long wastes idle rounds;
-//   (c) leader probability — the paper's fair coin vs biased variants;
-//   (d) zip-edge retirement (D3'): reference-counted early retirement of
-//       merge counterpart edges vs commit-time hygiene only — rounds paid
-//       for transient-degree discipline.
+//   (c) leader probability — the paper's fair coin vs biased variants.
 #include <cstdio>
 
 #include "core/experiment.hpp"
@@ -42,7 +39,7 @@ double mean_rounds(std::uint64_t n_guests, const core::Params& p) {
 
 int main() {
   util::set_log_level(util::LogLevel::kError);
-  std::printf("E8: ablations (wave pacing, epoch length, leader bias, zip retirement)\n\n");
+  std::printf("E8: ablations (wave pacing, epoch length, leader bias)\n\n");
   const std::uint64_t n_guests = 256;
 
   {
@@ -86,37 +83,6 @@ int main() {
       t.add_row({core::Table::fmt(static_cast<double>(prob) / 65536.0, 2),
                  core::Table::fmt(n_guests),
                  core::Table::fmt(mean_rounds(n_guests, p), 0)});
-    }
-    t.print();
-    std::printf("\n");
-  }
-
-  {
-    core::Table t({"zip_retirement", "N", "rounds(mean)", "peak_degree(max)",
-                   "messages(mean)"});
-    for (std::uint64_t big_n : {256ULL, 1024ULL}) {
-      for (bool retire : {false, true}) {
-        core::Params p;
-        p.zip_retirement = retire;
-        std::vector<double> rounds, msgs;
-        std::size_t peak = 0;
-        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-          core::SweepPoint pt{graph::Family::kRandomTree,
-                              static_cast<std::size_t>(big_n / 4), big_n,
-                              seed};
-          const auto out = core::run_sweep_point(pt, p, 400000);
-          if (out.result.converged) {
-            rounds.push_back(static_cast<double>(out.result.rounds));
-            msgs.push_back(static_cast<double>(out.result.messages));
-          }
-          peak = std::max(peak, out.peak_max_degree);
-        }
-        t.add_row({retire ? "on (D3')" : "off (default)",
-                   core::Table::fmt(big_n),
-                   core::Table::fmt(core::stats_of(rounds).mean, 0),
-                   core::Table::fmt(static_cast<std::uint64_t>(peak)),
-                   core::Table::fmt(core::stats_of(msgs).mean, 0)});
-      }
     }
     t.print();
   }

@@ -115,8 +115,6 @@ void persist_fields(A& a, MergeFsm& v) {
   a(v.nonce);
   a(v.deadline);
   a(v.steps);
-  a(v.peer_refs);
-  a(v.pending_done_ref);
   a(v.new_lo);
   a(v.new_hi);
   a(v.new_succ);
@@ -159,7 +157,6 @@ void persist_fields(A& a, HostState& v) {
   a(v.done_pruned);
   a(v.nbrs);
   a(v.resets);
-  a(v.false_faults);
   a(v.fault_line);
   a(v.fault_aux);
 }
@@ -294,25 +291,9 @@ void persist_fields(A& a, MZipDone& v) {
 }
 
 template <typename A>
-void persist_fields(A& a, MZipRetire& v) {
-  a(v.nonce);
-  a(v.node);
-}
-
-template <typename A>
-void persist_fields(A& a, MZipBye& v) {
-  a(v.nonce);
-}
-
-template <typename A>
 void persist_fields(A& a, MMergeCommit& v) {
   a(v.nonce);
   a(v.new_cluster);
-}
-
-template <typename A>
-void persist_fields(A& a, MNudge& v) {
-  a(v.tag);
 }
 
 }  // namespace chs::stabilizer

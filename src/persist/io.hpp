@@ -104,7 +104,11 @@ const char* blob_kind_name(BlobKind k);
 // v8: the series column table (DESIGN.md D12) — the OBSR delta baseline is
 // a full SeriesSample, and SeriesSample persists `inflight` before
 // `kv_messages`, in report order.
-inline constexpr std::uint32_t kFormatVersion = 8;
+// v9: one way to drop zip edges (DESIGN.md D3) — MergeFsm loses its two
+// zip-edge ref-count maps, HostState an unused fault counter, and the
+// stabilizer Message variant the zip-retirement pair and a never-sent
+// self-hold, which renumbers every alternative after MZipDone.
+inline constexpr std::uint32_t kFormatVersion = 9;
 
 /// Section tag from a 4-char mnemonic: tag4("ENGN").
 constexpr std::uint32_t tag4(const char (&s)[5]) {

@@ -373,7 +373,6 @@ class Engine {
   /// that call step_round() a fixed number of times rely on one call
   /// advancing exactly one round.
   void set_idle_fast_forward(bool on) { idle_fast_forward_ = on; }
-  bool idle_fast_forward() const { return idle_fast_forward_; }
 
   const NodeState& state(NodeId id) const { return states_[graph_.index_of(id)]; }
 
@@ -456,9 +455,6 @@ class Engine {
   void set_delivery_filter(DeliveryFilter f) {
     delivery_filter_ = std::move(f);
   }
-  bool has_delivery_filter() const {
-    return static_cast<bool>(delivery_filter_);
-  }
 
   /// Per-edge message-delay sampler (DESIGN.md D11): replaces the default
   /// uniform-[1, d] law with an arbitrary distribution over the same
@@ -472,7 +468,6 @@ class Engine {
   using DelaySampler = std::function<std::uint64_t(
       NodeId from, NodeId to, std::uint32_t max_delay, util::Rng& rng)>;
   void set_delay_sampler(DelaySampler f) { delay_sampler_ = std::move(f); }
-  bool has_delay_sampler() const { return static_cast<bool>(delay_sampler_); }
 
   /// End-of-round observer (verification hook — see src/verify/). When
   /// installed, it is invoked exactly once per executed round, after the
@@ -739,9 +734,6 @@ class Engine {
 
   /// Consecutive fully-silent rounds (no deliveries, holds, or actions).
   std::uint64_t quiescent_streak() const { return quiescent_streak_; }
-
-  /// Nodes stepped in the most recent round (n in StepMode::kAll).
-  std::size_t last_stepped() const { return stepped_.size(); }
 
   /// Events (deliveries + holds + wakeups) currently scheduled.
   std::size_t pending_events() const {

@@ -66,7 +66,6 @@ void Protocol::begin_zip(Ctx& ctx, NodeId peer_root, std::uint64_t nonce) {
   s.iv = cbt_.whole();
   s.peer = peer_root;
   s.parent_winner = kNone;
-  zip_ref(st, peer_root);
   send_zip_step(ctx, m0);
 }
 
@@ -119,10 +118,6 @@ void Protocol::handle_zip_start(Ctx& ctx, const MZipStart& m, NodeId from) {
   ZipStep& s = f.steps[pos];
   if (s.peer != kNone && s.peer != m.peer) return;  // conflicting step
   s.iv = m.iv;
-  if (s.peer == kNone) {
-    zip_ref(st, m.peer);
-    zip_ref(st, m.parent_winner);
-  }
   s.peer = m.peer;
   s.parent_winner = m.parent_winner;
   send_zip_step(ctx, pos);
@@ -150,10 +145,6 @@ void Protocol::handle_zip_step(Ctx& ctx, const MZipStep& m, NodeId from) {
   ZipStep& s = f.steps[pos];
   if (s.peer != kNone && s.peer != from) return;
   s.iv = m.iv;
-  if (s.peer == kNone) {
-    zip_ref(st, from);
-    zip_ref(st, m.parent_winner);
-  }
   s.peer = from;
   if (s.parent_winner == kNone) s.parent_winner = m.parent_winner;
   s.have_peer = true;
@@ -173,15 +164,13 @@ void Protocol::resolve_step(Ctx& ctx, GuestId pos) {
     // The counterpart edge vanished between our exchange and this
     // resolution (possible under faults or asynchrony). Leave the step
     // unresolved; the merge budget will reset us if it never recovers.
-    const auto rit = f.peer_refs.find(s.peer);
     CHS_LOG_WARN(
         "zip step %llu at host %llu lost peer %llu (deleted by %s) sent=%d "
-        "have=%d refs=%u round=%llu",
+        "have=%d round=%llu",
         static_cast<unsigned long long>(pos),
         static_cast<unsigned long long>(st.id),
         static_cast<unsigned long long>(s.peer), ctx.last_delete_site(s.peer),
         int(s.sent), int(s.have_peer),
-        rit == f.peer_refs.end() ? 0u : rit->second,
         static_cast<unsigned long long>(ctx.round()));
     return;
   }
@@ -224,12 +213,6 @@ void Protocol::resolve_step(Ctx& ctx, GuestId pos) {
       continue;
     }
     if (winner == st.id) ++waiting_add;  // a real substep will report
-    if (winner == st.id) {
-      // I will wait for this child's ZipDone; the reporter may be the
-      // peer-side child, so keep that edge alive until the done arrives.
-      f.pending_done_ref[cm] = pc;
-      zip_ref(st, pc);
-    }
     if (same_participants) {
       // Same pair continues one level down without introductions.
       ZipStep& cs = f.steps[cm];
@@ -237,8 +220,6 @@ void Protocol::resolve_step(Ctx& ctx, GuestId pos) {
         cs.iv = civ;
         cs.peer = peer;
         cs.parent_winner = winner;
-        zip_ref(st, peer);
-        zip_ref(st, winner);
       }
       send_zip_step(ctx, cm);
       continue;
@@ -251,10 +232,6 @@ void Protocol::resolve_step(Ctx& ctx, GuestId pos) {
   }
   if (waiting_add != 0) f.steps.find(pos)->second.waiting_done += waiting_add;
   if (need_phase2) ctx.hold(MZipPhase2{f.nonce, pos}, 1);
-  // My counterpart's edge is no longer needed for this step; losers also
-  // release the parent-winner edge (they report nothing up).
-  zip_unref(ctx, peer);
-  if (winner != st.id) zip_unref(ctx, parent_win);
   maybe_report_done(ctx, pos);
 }
 
@@ -288,8 +265,6 @@ void Protocol::handle_zip_phase2(Ctx& ctx, const MZipPhase2& m) {
         cs.iv = civ;
         cs.peer = pc;
         cs.parent_winner = winner;
-        zip_ref(st, pc);
-        zip_ref(st, winner);
       }
       if (pc != s.peer && !ctx.is_neighbor(pc) && !cs.sent) retry = true;
       send_zip_step(ctx, cm);
@@ -343,12 +318,6 @@ void Protocol::maybe_report_done(Ctx& ctx, GuestId pos) {
       auto pit = f.steps.find(*pp);
       if (pit != f.steps.end() && pit->second.waiting_done > 0) {
         --pit->second.waiting_done;
-        auto dit = f.pending_done_ref.find(pos);
-        if (dit != f.pending_done_ref.end()) {
-          const NodeId held = dit->second;
-          f.pending_done_ref.erase(dit);
-          zip_unref(ctx, held);
-        }
         maybe_report_done(ctx, *pp);
       }
     }
@@ -356,7 +325,6 @@ void Protocol::maybe_report_done(Ctx& ctx, GuestId pos) {
   }
   if (ctx.is_neighbor(s.parent_winner)) {
     ctx.send(s.parent_winner, MZipDone{f.nonce, pos});
-    zip_unref(ctx, s.parent_winner);
   }
 }
 
@@ -372,12 +340,6 @@ void Protocol::handle_zip_done(Ctx& ctx, const MZipDone& m, NodeId from) {
   // subtree's root becomes a boundary entry of mine.
   f.new_boundary[m.pos] = from;
   --it->second.waiting_done;
-  auto dit = f.pending_done_ref.find(m.pos);
-  if (dit != f.pending_done_ref.end()) {
-    const NodeId held = dit->second;
-    f.pending_done_ref.erase(dit);
-    zip_unref(ctx, held);
-  }
   maybe_report_done(ctx, *pp);
 }
 
@@ -488,63 +450,6 @@ void Protocol::handle_merge_commit(Ctx& ctx, const MMergeCommit& m, NodeId from)
   (void)from;
   if (st.merge.stage != MergeStage::kZip) return;  // duplicate or stale
   apply_commit(ctx, m.nonce, m.new_cluster);
-}
-
-
-void Protocol::zip_ref(HostState& st, NodeId node) {
-  if (node == kNone || node == st.id) return;
-  ++st.merge.peer_refs[node];
-}
-
-void Protocol::zip_unref(Ctx& ctx, NodeId node) {
-  HostState& st = ctx.state();
-  if (node == kNone || node == st.id) return;
-  auto it = st.merge.peer_refs.find(node);
-  if (it == st.merge.peer_refs.end() || it->second == 0) return;
-  if (--it->second == 0 && params_.zip_retirement) {
-    ctx.hold(MZipRetire{st.merge.nonce, node}, 2);
-  }
-}
-
-bool Protocol::zip_edge_unneeded(Ctx& ctx, NodeId node) const {
-  const HostState& st = ctx.state();
-  const MergeFsm& f = st.merge;
-  auto it = f.peer_refs.find(node);
-  if (it != f.peer_refs.end() && it->second > 0) return false;
-  // Promoted into the pending or existing structure? Then the edge stays.
-  if (node == f.peer_cluster || node == f.new_succ || node == f.new_pred ||
-      node == st.succ || node == st.pred) {
-    return false;
-  }
-  const auto references = [&](const util::FlatMap<GuestId, NodeId>& m2) {
-    for (const auto& [pos, host] : m2) {
-      (void)pos;
-      if (host == node) return true;
-    }
-    return false;
-  };
-  return !(references(f.new_boundary) || references(f.new_parent) ||
-           references(f.pending_done_ref) || references(st.boundary_host) ||
-           references(st.parent_host));
-}
-
-void Protocol::handle_zip_retire(Ctx& ctx, const MZipRetire& m) {
-  HostState& st = ctx.state();
-  MergeFsm& f = st.merge;
-  if (f.stage != MergeStage::kZip || f.nonce != m.nonce) return;
-  if (!zip_edge_unneeded(ctx, m.node)) return;
-  // Two-sided retirement: the counterpart may still hold an active step
-  // with us (the zip sides can be skewed by several rounds); offer the
-  // retirement and let it disconnect only if it agrees.
-  if (ctx.is_neighbor(m.node)) ctx.send(m.node, MZipBye{m.nonce});
-}
-
-void Protocol::handle_zip_bye(Ctx& ctx, const MZipBye& m, NodeId from) {
-  HostState& st = ctx.state();
-  MergeFsm& f = st.merge;
-  if (f.stage != MergeStage::kZip || f.nonce != m.nonce) return;
-  if (!zip_edge_unneeded(ctx, from)) return;  // still in use here: keep
-  if (ctx.is_neighbor(from)) ctx.disconnect(from, "merge-d0");
 }
 
 }  // namespace chs::stabilizer

@@ -129,30 +129,10 @@ struct MZipDone {
   GuestId pos = 0;
 };
 
-/// Self-hold: a zip counterpart's edge may no longer be needed — begin the
-/// two-sided retirement handshake (keeps transient merge degree
-/// polylogarithmic, matching the paper's level-by-level handoff).
-struct MZipRetire {
-  std::uint64_t nonce = 0;
-  NodeId node = kNone;
-};
-
-/// Retirement offer: the sender no longer needs its edge to the receiver
-/// for this merge; the receiver disconnects iff it agrees (both sides idle
-/// on the edge), otherwise the edge survives until commit-time hygiene.
-struct MZipBye {
-  std::uint64_t nonce = 0;
-};
-
 /// Commit flood down the merged cluster's new tree.
 struct MMergeCommit {
   std::uint64_t nonce = 0;
   NodeId new_cluster = kNone;
-};
-
-/// Generic self-hold used by root sequencing (grace gaps between waves).
-struct MNudge {
-  std::uint32_t tag = 0;
 };
 
 // Variant order doubles as the per-round processing priority: control
@@ -161,7 +141,7 @@ struct MNudge {
 using Message =
     std::variant<MRingNote, MFingerNote, MMatchGrant, MMergePropose, MMergeAck,
                  MMergeCommit, MZipStart, MZipStep, MZipPhase2, MZipDone,
-                 MZipRetire, MZipBye, MFollowGo, MMergeReqHop, MWaveDown,
-                 MWaveFwd, MWaveUp, MWaveTick, MNudge>;
+                 MFollowGo, MMergeReqHop, MWaveDown, MWaveFwd, MWaveUp,
+                 MWaveTick>;
 
 }  // namespace chs::stabilizer

@@ -53,13 +53,6 @@ struct Params {
   /// finger notes from the previous wave settle (see DESIGN.md, chord build).
   std::uint32_t inter_wave_grace = 2;
 
-  /// Experimental: reference-counted retirement of zip counterpart edges
-  /// during merges (two-sided ZipRetire/ZipBye handshake). Bounds the
-  /// transient merge degree at the cost of extra messages and occasionally
-  /// stalled steps the merge budget must absorb; off by default — the
-  /// commit-time hygiene reclaims the same edges a few rounds later.
-  bool zip_retirement = false;
-
   /// Asynchrony slack: when the engine delays messages by up to d rounds
   /// (Engine::set_max_message_delay), set this to d so every round budget
   /// (epochs, merges, waves, grace gaps) stretches accordingly.

@@ -370,14 +370,10 @@ void Protocol::dispatch(Ctx& ctx, const sim::Envelope<Message>& env) {
           handle_zip_phase2(ctx, m);
         } else if constexpr (std::is_same_v<T, MZipDone>) {
           handle_zip_done(ctx, m, from);
-        } else if constexpr (std::is_same_v<T, MZipRetire>) {
-          handle_zip_retire(ctx, m);
-        } else if constexpr (std::is_same_v<T, MZipBye>) {
-          handle_zip_bye(ctx, m, from);
-        } else if constexpr (std::is_same_v<T, MMergeCommit>) {
-          handle_merge_commit(ctx, m, from);
         } else {
-          static_assert(std::is_same_v<T, MNudge>, "unhandled message type");
+          static_assert(std::is_same_v<T, MMergeCommit>,
+                        "unhandled message type");
+          handle_merge_commit(ctx, m, from);
         }
       },
       env.msg);

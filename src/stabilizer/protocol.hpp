@@ -189,13 +189,6 @@ class Protocol {
   void handle_zip_step(Ctx& ctx, const MZipStep& m, NodeId from);
   void handle_zip_phase2(Ctx& ctx, const MZipPhase2& m);
   void handle_zip_done(Ctx& ctx, const MZipDone& m, NodeId from);
-  void handle_zip_retire(Ctx& ctx, const MZipRetire& m);
-  void handle_zip_bye(Ctx& ctx, const MZipBye& m, NodeId from);
-  /// True iff this host has no remaining use for its zip edge to `node`.
-  bool zip_edge_unneeded(Ctx& ctx, NodeId node) const;
-  /// Reference counting of zip counterpart edges (transient-degree bound).
-  void zip_ref(HostState& st, NodeId node);
-  void zip_unref(Ctx& ctx, NodeId node);
   void handle_merge_commit(Ctx& ctx, const MMergeCommit& m, NodeId from);
   void resolve_step(Ctx& ctx, GuestId pos);
   void maybe_report_done(Ctx& ctx, GuestId pos);

@@ -155,12 +155,6 @@ struct MergeFsm {
   std::uint64_t nonce = 0;      // merge instance id (shared by both clusters)
   std::uint64_t deadline = 0;   // absolute round; overrun is a fault
   util::FlatMap<GuestId, ZipStep> steps;  // keyed by interval midpoint
-  // Active-use counts of counterpart edges; when a node's count hits zero a
-  // retire check runs and drops the edge unless it was promoted into the
-  // pending structure (bounds transient merge degree).
-  util::FlatMap<NodeId, std::uint32_t> peer_refs;
-  // Positions whose pending ZipDone keeps the peer-side child edge alive.
-  util::FlatMap<GuestId, NodeId> pending_done_ref;
   // Pending post-merge structure (swapped in at commit):
   std::uint64_t new_lo = 0, new_hi = 0;
   NodeId new_succ = kNone, new_pred = kNone;
@@ -226,9 +220,8 @@ struct HostState {
 
   // Instrumentation.
   std::uint64_t resets = 0;
-  std::uint64_t false_faults = 0;  // resets after the initial sweep (tests)
-  int fault_line = 0;              // detector.cpp line of the last fault
-  NodeId fault_aux = kNone;        // offending neighbor, when applicable
+  int fault_line = 0;        // detector.cpp line of the last fault
+  NodeId fault_aux = kNone;  // offending neighbor, when applicable
 
   bool is_root() const { return cluster == id; }
   avatar::Range range() const { return {lo, hi}; }
@@ -246,9 +239,7 @@ struct HostState {
     b += waves.capacity_bytes();
     for (const auto& [id_, ws] : waves) b += ws.frags.capacity_bytes();
     b += epoch.requests.capacity() * sizeof(NodeId);
-    b += merge.steps.capacity_bytes() + merge.peer_refs.capacity_bytes() +
-         merge.pending_done_ref.capacity_bytes() +
-         merge.new_boundary.capacity_bytes() +
+    b += merge.steps.capacity_bytes() + merge.new_boundary.capacity_bytes() +
          merge.new_parent.capacity_bytes();
     b += frags.capacity() * sizeof(topology::Cbt::Fragment);
     b += out_edge_to_entry.capacity_bytes();

@@ -146,40 +146,6 @@ TEST(Merge, MergedClusterHasConsistentStructureMaps) {
   }
 }
 
-TEST(Merge, RetirementModeAlsoMergesCorrectly) {
-  // The experimental zip-edge retirement (Params::zip_retirement) must not
-  // change merge outcomes, only transient degree.
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    auto eng = two_clusters({2, 9, 17}, {5, 13, 26}, 32, seed);
-    eng->protocol().params();  // params are fixed at engine construction...
-    // Build a fresh engine with retirement on instead.
-    Params p;
-    p.n_guests = 32;
-    p.zip_retirement = true;
-    std::vector<NodeId> a{2, 9, 17}, b{5, 13, 26};
-    std::vector<NodeId> all;
-    all.insert(all.end(), a.begin(), a.end());
-    all.insert(all.end(), b.begin(), b.end());
-    std::sort(all.begin(), all.end());
-    graph::Graph g(all);
-    for (const auto& [u, v] : core::scaffold_graph(a, 32).edge_list()) {
-      g.add_edge(u, v);
-    }
-    for (const auto& [u, v] : core::scaffold_graph(b, 32).edge_list()) {
-      g.add_edge(u, v);
-    }
-    g.add_edge(a[1], b[1]);
-    auto eng2 = core::make_engine(std::move(g), p, seed);
-    core::install_legal_cbt(*eng2, Phase::kCbt, &a);
-    core::install_legal_cbt(*eng2, Phase::kCbt, &b);
-    eng2->republish();
-    const auto [rounds, ok] = eng2->run_until(
-        [](StabEngine& e) { return single_cluster_with_canonical_ranges(e); },
-        8000);
-    EXPECT_TRUE(ok) << "retirement seed=" << seed << " rounds=" << rounds;
-  }
-}
-
 TEST(Merge, NetworkStaysConnectedThroughout) {
   auto eng = two_clusters({2, 9, 17, 29}, {5, 13, 21, 26}, 32, 6);
   for (int r = 0; r < 600; ++r) {

@@ -228,6 +228,31 @@ TEST(EngineCheckpoint, CorruptBlobFailsLoudlyAndLeavesEngineUntouched) {
   EXPECT_NE(js.error.find("magic"), std::string::npos);
 }
 
+TEST(EngineCheckpoint, OtherFormatVersionIsRejected) {
+  // The header's version word (u32 at byte 8) sits outside every section
+  // CRC. A blob from a build with another layout — older or newer — must be
+  // refused by the header check before any section is read.
+  auto eng = tree_engine();
+  for (int r = 0; r < 30; ++r) eng->step_round();
+  const auto blob = engine_blob(*eng);
+
+  auto victim = tree_engine();
+  for (int r = 0; r < 5; ++r) victim->step_round();
+  const Fingerprint before = fingerprint(*victim);
+
+  for (const std::uint32_t version :
+       {persist::kFormatVersion - 1, persist::kFormatVersion + 1}) {
+    auto other = blob;
+    std::memcpy(other.data() + 8, &version, sizeof version);
+    const auto s = restore_engine(*victim, other);
+    ASSERT_FALSE(s.ok) << "version " << version;
+    EXPECT_NE(s.error.find("unsupported format version"), std::string::npos)
+        << s.error;
+    EXPECT_FALSE(victim->restore_blob(other).ok);
+    EXPECT_EQ(fingerprint(*victim), before);
+  }
+}
+
 TEST(EngineCheckpoint, HostSetMismatchIsRejected) {
   auto a = tree_engine(12, 64, 3);
   const auto blob = engine_blob(*a);

@@ -1,8 +1,8 @@
 // chordsim — command-line driver for the library.
 //
 //   chordsim run    [--n 64] [--N 256] [--family random_tree] [--seed 1]
-//                   [--target chord|bichord|hypercube] [--delay 1]
-//                   [--max-rounds 400000] [--trace]
+//                   [--target chord|bichord|hypercube|skiplist|smallworld]
+//                   [--delay 1] [--max-rounds 400000] [--trace]
 //                   [--workers 1] [--fast-forward]
 //   chordsim route  [--n 64] [--N 256] [--lookups 500] [--seed 1]
 //   chordsim churn  [--n 64] [--N 256] [--episodes 3] [--burst 1] [--seed 1]
@@ -76,6 +76,7 @@
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "campaign/scenario.hpp"
 #include "core/churn.hpp"
 #include "core/invariants.hpp"
 #include "core/svg.hpp"
@@ -151,28 +152,12 @@ Args parse(int argc, char** argv, int first, const char* const* allowed,
   return a;
 }
 
-graph::Family family_of(const std::string& name) {
-  for (graph::Family f : graph::all_families()) {
-    if (name == graph::family_name(f)) return f;
-  }
-  std::fprintf(stderr, "unknown family '%s'; options:", name.c_str());
-  for (graph::Family f : graph::all_families()) {
-    std::fprintf(stderr, " %s", graph::family_name(f));
-  }
+// An unknown --family/--target name exits 2 and lists the valid ones.
+[[noreturn]] void unknown_name(const char* what, const std::string& name,
+                               const std::vector<std::string>& options) {
+  std::fprintf(stderr, "unknown %s '%s'; options:", what, name.c_str());
+  for (const auto& o : options) std::fprintf(stderr, " %s", o.c_str());
   std::fprintf(stderr, "\n");
-  std::exit(2);
-}
-
-topology::TargetSpec target_of(const std::string& name) {
-  if (name == "chord") return topology::chord_target();
-  if (name == "bichord") return topology::bichord_target();
-  if (name == "hypercube") return topology::hypercube_target();
-  if (name == "skiplist") return topology::skiplist_target();
-  if (name == "smallworld") return topology::smallworld_target();
-  std::fprintf(stderr,
-               "unknown target '%s' "
-               "(chord|bichord|hypercube|skiplist|smallworld)\n",
-               name.c_str());
   std::exit(2);
 }
 
@@ -186,11 +171,24 @@ std::unique_ptr<core::StabEngine> build_engine(const Args& a) {
 
   util::Rng rng(seed);
   auto ids = graph::sample_ids(n_hosts, n_guests, rng);
-  auto g = graph::make_family(family_of(a.get("family", "random_tree")), ids,
-                              rng);
+  const std::string family = a.get("family", "random_tree");
+  const auto fam = campaign::family_by_name(family);
+  if (!fam) {
+    std::vector<std::string> names;
+    for (graph::Family f : graph::all_families()) {
+      names.emplace_back(graph::family_name(f));
+    }
+    unknown_name("family", family, names);
+  }
+  const std::string target_name = a.get("target", "chord");
+  const auto target = campaign::target_by_name(target_name);
+  if (!target) {
+    unknown_name("target", target_name, campaign::all_target_names());
+  }
+  auto g = graph::make_family(*fam, ids, rng);
   core::Params p;
   p.n_guests = n_guests;
-  p.target = target_of(a.get("target", "chord"));
+  p.target = *target;
   p.delay_slack = delay;
   auto eng = core::make_engine(std::move(g), p, seed);
   eng->set_max_message_delay(delay);
@@ -201,7 +199,7 @@ std::unique_ptr<core::StabEngine> build_engine(const Args& a) {
   std::printf("hosts=%zu guests=%llu family=%s target=%s seed=%llu delay=%u"
               " workers=%zu\n",
               n_hosts, static_cast<unsigned long long>(n_guests),
-              a.get("family", "random_tree"), p.target.name.c_str(),
+              family.c_str(), p.target.name.c_str(),
               static_cast<unsigned long long>(seed), delay, workers);
   return eng;
 }
