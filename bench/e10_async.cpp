@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/experiment.hpp"
+#include "core/network.hpp"
 #include "graph/generators.hpp"
 #include "util/bitops.hpp"
 #include "util/log.hpp"

@@ -3,14 +3,16 @@
 // expectation.
 //
 // For each (family, N) we run several seeded instances (n = N/4 hosts,
-// randomly-placed ids) and report mean/max rounds next to the paper's bound
-// shape c·log²N: if the algorithm matches the theorem, the rounds/log²N
-// column is flat (bounded by a constant) as N grows. Absolute constants are
+// randomly-placed ids) as cold-start campaign jobs and report mean/max
+// rounds next to the paper's bound shape c·log²N: if the algorithm matches
+// the theorem, the rounds/log²N column is flat (bounded by a constant) as N
+// grows. Absolute constants are
 // implementation-specific (epoch length, grace gaps); the *shape* is the
 // claim under test.
 #include <cstdio>
 #include <cstdlib>
 
+#include "campaign/runner.hpp"
 #include "core/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/bitops.hpp"
@@ -40,19 +42,23 @@ int main() {
   std::vector<double> fit_logn, fit_rounds;
   for (graph::Family fam : families) {
     for (std::uint64_t n_guests : sizes) {
+      campaign::Scenario sc;
+      sc.n_guests = n_guests;
+      sc.host_counts = {static_cast<std::size_t>(n_guests / 4)};
+      sc.families = {fam};
+      sc.seed_hi = seeds;
+      sc.start = campaign::StartMode::kCold;
       std::vector<double> rounds, resets;
       bool all_ok = true;
-      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-        core::SweepPoint pt{fam, static_cast<std::size_t>(n_guests / 4),
-                            n_guests, seed};
-        const auto out = core::run_sweep_point(pt, core::Params{}, 400000);
-        all_ok = all_ok && out.result.converged;
+      for (const campaign::JobSpec& spec : campaign::expand_jobs(sc)) {
+        const campaign::JobResult r = campaign::run_job(sc, spec);
+        all_ok = all_ok && r.converged;
         // Only converged runs enter the statistics: a budget-capped run
         // reports the budget, not a convergence time (the conv column
         // flags it).
-        if (out.result.converged) {
-          rounds.push_back(static_cast<double>(out.result.rounds));
-          resets.push_back(static_cast<double>(out.result.total_resets));
+        if (r.converged) {
+          rounds.push_back(static_cast<double>(r.rounds));
+          resets.push_back(static_cast<double>(r.resets));
         }
       }
       const auto rs = core::stats_of(rounds);

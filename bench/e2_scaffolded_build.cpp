@@ -13,6 +13,7 @@
 #include <cstdlib>
 
 #include "core/experiment.hpp"
+#include "core/network.hpp"
 #include "stabilizer/guest_model.hpp"
 #include "graph/generators.hpp"
 #include "util/bitops.hpp"

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "campaign/runner.hpp"
 #include "core/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/bitops.hpp"
@@ -35,16 +36,22 @@ int main() {
   std::vector<double> fit_logn, fit_exp;
   for (graph::Family fam : families) {
     for (std::uint64_t n_guests : sizes) {
+      campaign::Scenario sc;
+      sc.n_guests = n_guests;
+      sc.host_counts = {static_cast<std::size_t>(n_guests / 4)};
+      sc.families = {fam};
+      sc.seed_hi = seeds;
+      sc.start = campaign::StartMode::kCold;
       std::vector<double> exps;
       std::size_t d0 = 0, df = 0, dp = 0;
-      for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-        core::SweepPoint pt{fam, static_cast<std::size_t>(n_guests / 4),
-                            n_guests, seed};
-        const auto out = core::run_sweep_point(pt, core::Params{}, 400000);
-        exps.push_back(out.result.degree_expansion);
-        d0 = std::max(d0, out.initial_max_degree);
-        df = std::max(df, out.final_max_degree);
-        dp = std::max(dp, out.peak_max_degree);
+      for (const campaign::JobSpec& spec : campaign::expand_jobs(sc)) {
+        campaign::JobRunner job(sc, spec);
+        job.run();
+        const campaign::JobResult r = job.result();
+        exps.push_back(r.degree_expansion);
+        d0 = std::max(d0, job.engine().metrics().initial_max_degree());
+        df = std::max(df, job.engine().graph().max_degree());
+        dp = std::max(dp, r.peak_degree);
       }
       const auto es = core::stats_of(exps);
       const double lg = static_cast<double>(util::ceil_log2(n_guests));

@@ -16,6 +16,7 @@
 #include <cstring>
 
 #include "core/experiment.hpp"
+#include "core/network.hpp"
 #include "graph/generators.hpp"
 #include "util/bitops.hpp"
 #include "util/log.hpp"

@@ -15,6 +15,7 @@
 #include <map>
 
 #include "core/experiment.hpp"
+#include "core/network.hpp"
 #include "graph/generators.hpp"
 #include "util/bitops.hpp"
 #include "util/log.hpp"

@@ -22,7 +22,9 @@
 #include "baselines/ideal.hpp"
 #include "baselines/linear.hpp"
 #include "baselines/tcf.hpp"
+#include "campaign/runner.hpp"
 #include "core/experiment.hpp"
+#include "graph/generators.hpp"
 #include "util/bitops.hpp"
 #include "util/log.hpp"
 
@@ -47,15 +49,19 @@ int main() {
     util::Rng rng(n_guests * 3 + 1);
     auto ids = graph::sample_ids(n_hosts, n_guests, rng);
 
-    {  // scaffolding (this paper)
-      core::SweepPoint pt{fam, n_hosts, n_guests, 1};
-      const auto out = core::run_sweep_point(pt, core::Params{}, 400000);
+    {  // scaffolding (this paper): one cold-start campaign job, seed 1
+      campaign::Scenario sc;
+      sc.n_guests = n_guests;
+      sc.host_counts = {n_hosts};
+      sc.families = {fam};
+      sc.start = campaign::StartMode::kCold;
+      const campaign::JobResult r =
+          campaign::run_job(sc, campaign::expand_jobs(sc).front());
       table.add_row({"scaffolding", core::Table::fmt(n_guests),
                      core::Table::fmt(static_cast<std::uint64_t>(n_hosts)),
-                     out.result.converged ? "yes" : "NO",
-                     core::Table::fmt(out.result.rounds),
-                     core::Table::fmt(static_cast<std::uint64_t>(out.peak_max_degree)),
-                     core::Table::fmt(out.result.degree_expansion, 2)});
+                     r.converged ? "yes" : "NO", core::Table::fmt(r.rounds),
+                     core::Table::fmt(static_cast<std::uint64_t>(r.peak_degree)),
+                     core::Table::fmt(r.degree_expansion, 2)});
     }
     {  // TCF
       util::Rng r2(1);

@@ -661,8 +661,8 @@ JobRunner::JobRunner(const Scenario& sc, const JobSpec& spec,
   im.out.workload_armed = sc.workload_armed();
   im.engine_workers = engine_workers;
 
-  // Initial configuration: same (seed -> ids -> family) recipe as the
-  // experiment sweeps, so a campaign job is comparable to a sweep point.
+  // Initial configuration: the repo's one cold-start recipe (seed -> ids ->
+  // family); the E1/E3/E6 benches run their sweep points through it too.
   util::Rng rng(spec.seed * 0x9e3779b97f4a7c15ULL + 13);
   auto ids = graph::sample_ids(spec.n_hosts, sc.n_guests, rng);
   graph::Graph g = graph::make_family(spec.family, ids, rng);

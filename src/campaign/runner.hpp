@@ -24,6 +24,7 @@
 
 #include "campaign/report.hpp"
 #include "campaign/scenario.hpp"
+#include "core/network.hpp"
 #include "persist/io.hpp"
 
 namespace chs::obs {

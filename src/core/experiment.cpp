@@ -95,22 +95,4 @@ double percentile_of(std::vector<double> xs, double q) {
   return xs[rank_index(xs.size(), q)];
 }
 
-SweepOutcome run_sweep_point(const SweepPoint& pt, const Params& base_params,
-                             std::uint64_t max_rounds) {
-  util::Rng rng(pt.seed * 0x9e3779b97f4a7c15ULL + 13);
-  auto ids = graph::sample_ids(pt.n_hosts, pt.n_guests, rng);
-  graph::Graph g = graph::make_family(pt.family, std::move(ids), rng);
-
-  SweepOutcome out;
-  out.initial_max_degree = g.max_degree();
-
-  Params params = base_params;
-  params.n_guests = pt.n_guests;
-  auto eng = make_engine(std::move(g), params, pt.seed);
-  out.result = run_to_convergence(*eng, max_rounds);
-  out.final_max_degree = eng->graph().max_degree();
-  out.peak_max_degree = eng->metrics().peak_max_degree();
-  return out;
-}
-
 }  // namespace chs::core

@@ -1,15 +1,13 @@
-// Shared experiment harness: aligned-table printing, small statistics, and
-// the common "sweep N over initial families and seeds" driver the benches
-// (E1-E9) are built from. Benches print both a human-readable table and an
-// optional CSV block so results can be archived in EXPERIMENTS.md.
+// Shared experiment harness: aligned-table printing and small statistics
+// for the benches (E1-E10). Benches print both a human-readable table and an
+// optional CSV block so results can be archived in EXPERIMENTS.md. Cold-start
+// sweeps (E1, E3, E6) run their points as campaign jobs (campaign/runner.hpp)
+// rather than through a driver of their own.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "core/network.hpp"
-#include "graph/generators.hpp"
 
 namespace chs::core {
 
@@ -52,23 +50,5 @@ Stats stats_of(const std::vector<double>& xs);
 /// Nearest-rank percentile of q in [0, 100]: the smallest sample >= q% of
 /// the distribution. xs need not be sorted; empty input yields 0.
 double percentile_of(std::vector<double> xs, double q);
-
-/// One stabilization run from a generated initial configuration.
-struct SweepPoint {
-  graph::Family family;
-  std::size_t n_hosts;
-  std::uint64_t n_guests;
-  std::uint64_t seed;
-};
-
-struct SweepOutcome {
-  RunResult result;
-  std::size_t initial_max_degree = 0;
-  std::size_t final_max_degree = 0;
-  std::size_t peak_max_degree = 0;
-};
-
-SweepOutcome run_sweep_point(const SweepPoint& pt, const Params& base_params,
-                             std::uint64_t max_rounds);
 
 }  // namespace chs::core

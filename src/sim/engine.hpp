@@ -51,7 +51,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -104,6 +103,9 @@ class Engine;
 struct EdgeDelta {
   NodeId u = 0, v = 0;
   bool removed = false;
+  /// Who asked for a removal: the protocol's disconnect site, or "external"
+  /// for inject_edge_removal. Null for additions.
+  const char* site = nullptr;
 };
 
 /// Per-shard record of the protocol actions emitted while stepping
@@ -133,7 +135,7 @@ struct ActionBuffer {
   };
   struct EdgeDel {
     NodeId a, b;
-    const char* site;  // deletions carry provenance for edge-delete tracing
+    const char* site;  // provenance, handed to the round observer (EdgeDelta)
     // Connectivity certificate (kNoWitness = none): the deleter saw the
     // path a-witness-b in its (one-round-stale) views. The engine re-checks
     // that path against the live graph at apply time and drops the delete
@@ -274,12 +276,6 @@ class NodeCtx {
   void disconnect(NodeId v, const char* site = "?",
                   NodeId witness = kNoWitness) {
     acts_->disconnects.push_back({self_, v, site, witness});
-  }
-
-  /// Debug: who last requested deletion of edge (self, v), if recorded.
-  /// Requires Engine::set_edge_delete_tracing(true).
-  const char* last_delete_site(NodeId v) const {
-    return engine_->last_delete_site(self_, v);
   }
 
  private:
@@ -424,7 +420,7 @@ class Engine {
     topo_changed_ = ckpt_topo_changed_ = true;
     wake(graph_.index_of(u));
     wake(graph_.index_of(v));
-    record_delta(u, v, true);
+    record_delta(u, v, true, "external");
     return true;
   }
 
@@ -476,8 +472,8 @@ class Engine {
   /// round or externally mutated via state_mut — ascending order), and
   /// every topology mutation applied since the previous observation
   /// (protocol edge actions and external inject_edge / inject_edge_removal
-  /// alike). Rounds skipped by the idle fast-forward are provably empty and
-  /// are not observed individually.
+  /// alike; each removal names its site). Rounds skipped by the idle
+  /// fast-forward are provably empty and are not observed individually.
   ///
   /// Threading contract: like the delivery filter, the observer runs on the
   /// engine's calling thread in a serial phase — after the D6 shard merge —
@@ -524,14 +520,6 @@ class Engine {
   /// checkpointed and has zero effect on traces, metrics, or report bytes.
   /// Pass nullptr to disarm (the default costs one branch per phase).
   void set_profiler(RoundProfile* p) { profile_ = p; }
-
-  /// Record which protocol site requested each applied edge deletion
-  /// (ctx.last_delete_site). Off by default: the record grows with every
-  /// deletion ever applied, which is unbounded under churn.
-  void set_edge_delete_tracing(bool on) {
-    edge_trace_ = on;
-    if (!on) last_delete_.clear();
-  }
 
   /// Execute one synchronous round (or, with idle fast-forward enabled,
   /// one active round preceded by any number of provably empty ones).
@@ -608,8 +596,7 @@ class Engine {
 
     // --- apply deferred edge mutations (deletes first, so an introduce in
     // the same round re-creates deliberately).
-    for (std::size_t di = 0; di < pending_deletes_.size(); ++di) {
-      const auto& [u, v] = pending_deletes_[di];
+    for (const auto& [u, v, site, w] : pending_deletes_) {
       // Commit-time certificate validation: the deleter promised the path
       // u-w-v as the reason (u, v) is safe to drop. Deletes are deferred a
       // whole round, so a concurrent external removal (churn, fault) or an
@@ -621,25 +608,21 @@ class Engine {
       // active-set mode nothing else would re-step the owner (its state did
       // not change), and the junk edge would linger until an unrelated
       // wakeup — breaking the D5 kAll/kActiveSet trace equivalence.
-      if (const NodeId w = pending_delete_witnesses_[di]; w != kNoWitness) {
-        if (!graph_.has_edge(u, w) || !graph_.has_edge(w, v)) {
-          metrics_.count_stale_cert_drop();
-          wake(graph_.index_of(u));
-          wake(graph_.index_of(v));
-          continue;
-        }
+      if (w != kNoWitness &&
+          (!graph_.has_edge(u, w) || !graph_.has_edge(w, v))) {
+        metrics_.count_stale_cert_drop();
+        wake(graph_.index_of(u));
+        wake(graph_.index_of(v));
+        continue;
       }
       if (graph_.remove_edge(u, v)) {
         metrics_.count_edge_del();
         topo_changed_ = ckpt_topo_changed_ = true;
         wake(graph_.index_of(u));
         wake(graph_.index_of(v));
-        record_delta(u, v, true);
-        if (edge_trace_) record_delete_site(u, v, pending_delete_sites_[di]);
+        record_delta(u, v, true, site);
       }
     }
-    pending_delete_sites_.clear();
-    pending_delete_witnesses_.clear();
     for (const auto& [u, v] : pending_adds_) {
       if (graph_.add_edge(u, v)) {
         metrics_.count_edge_add();
@@ -723,15 +706,6 @@ class Engine {
     ++round_;
   }
 
-  /// Debug: which protocol site last requested deletion of edge {a, b}
-  /// (requires set_edge_delete_tracing). Public so diagnostic harnesses and
-  /// the verification layer can attribute a missing edge without a NodeCtx.
-  const char* last_delete_site(NodeId a, NodeId b) {
-    if (!edge_trace_) return "(untracked)";
-    auto it = last_delete_.find(std::minmax(a, b));
-    return it == last_delete_.end() ? "(none)" : it->second;
-  }
-
   /// Consecutive fully-silent rounds (no deliveries, holds, or actions).
   std::uint64_t quiescent_streak() const { return quiescent_streak_; }
 
@@ -791,9 +765,9 @@ class Engine {
   ///
   /// Must be called between rounds (outside step_round). Wall-clock and
   /// debug configuration — worker threads, idle fast-forward, delivery
-  /// filter, round observer, edge-delete tracing — is deliberately *not*
-  /// state and is neither saved nor touched by restore: it belongs to the
-  /// process hosting the run, not to the run.
+  /// filter, round observer — is deliberately *not* state and is neither
+  /// saved nor touched by restore: it belongs to the process hosting the
+  /// run, not to the run.
   ///
   /// If the protocol declares `persist_fields(A&)`, its between-round
   /// dynamic knobs (e.g. the stabilizer's frozen flag) ride along; protocol
@@ -1230,8 +1204,6 @@ class Engine {
     topo_changed_ = false;
     pending_adds_.clear();
     pending_deletes_.clear();
-    pending_delete_sites_.clear();
-    pending_delete_witnesses_.clear();
     observed_deltas_.clear();
     clear_ckpt_tracking();
     has_ckpt_base_ = false;  // see read_blob
@@ -1311,11 +1283,8 @@ class Engine {
       // to quiescence detection.
       wakeups_.schedule(w.due, w.self);
     }
-    for (const auto& d : buf.disconnects) {
-      pending_deletes_.emplace_back(d.a, d.b);
-      pending_delete_sites_.push_back(d.site);
-      pending_delete_witnesses_.push_back(d.witness);
-    }
+    pending_deletes_.insert(pending_deletes_.end(), buf.disconnects.begin(),
+                            buf.disconnects.end());
     for (const auto& a : buf.introduces) {
       pending_adds_.emplace_back(a.a, a.b);
     }
@@ -1371,19 +1340,12 @@ class Engine {
 
   /// Accumulate an applied topology mutation for the round observer; a
   /// no-op (one predicted branch) when no observer is installed.
-  void record_delta(NodeId u, NodeId v, bool removed) {
-    if (round_observer_) observed_deltas_.push_back({u, v, removed});
-  }
-
-  void record_delete_site(NodeId u, NodeId v, const char* site) {
-    // Bounded: long churn runs otherwise grow this map without limit.
-    if (last_delete_.size() >= kMaxDeleteRecords) last_delete_.clear();
-    last_delete_[std::minmax(u, v)] = site;
+  void record_delta(NodeId u, NodeId v, bool removed,
+                    const char* site = nullptr) {
+    if (round_observer_) observed_deltas_.push_back({u, v, removed, site});
   }
 
   bool holds_pending() const { return !holds_.empty() || !delayed_.empty(); }
-
-  static constexpr std::size_t kMaxDeleteRecords = 1u << 20;
 
   graph::Graph graph_;
   P protocol_;
@@ -1397,10 +1359,7 @@ class Engine {
   std::vector<util::Rng> rngs_;
   std::vector<util::Rng> delay_rngs_;  // per-sender message-delay streams
   std::vector<std::pair<NodeId, NodeId>> pending_adds_;
-  std::vector<std::pair<NodeId, NodeId>> pending_deletes_;
-  std::vector<const char*> pending_delete_sites_;
-  std::vector<NodeId> pending_delete_witnesses_;
-  std::map<std::pair<NodeId, NodeId>, const char*> last_delete_;
+  std::vector<typename ActionBuffer<Message>::EdgeDel> pending_deletes_;
   RunMetrics metrics_;
   DeliveryFilter delivery_filter_;  // empty = deliver everything
   DelaySampler delay_sampler_;      // empty = uniform [1, max_delay_]
@@ -1411,7 +1370,6 @@ class Engine {
   std::vector<WorkerSlot> slots_;
   std::size_t worker_threads_ = 1;
   StepMode step_mode_ = StepMode::kAll;
-  bool edge_trace_ = false;
   bool topo_changed_ = false;
   bool idle_fast_forward_ = false;
   std::vector<NodeIndex> woken_;   // active set accumulating for next round

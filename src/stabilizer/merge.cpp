@@ -165,12 +165,11 @@ void Protocol::resolve_step(Ctx& ctx, GuestId pos) {
     // resolution (possible under faults or asynchrony). Leave the step
     // unresolved; the merge budget will reset us if it never recovers.
     CHS_LOG_WARN(
-        "zip step %llu at host %llu lost peer %llu (deleted by %s) sent=%d "
-        "have=%d round=%llu",
+        "zip step %llu at host %llu lost peer %llu sent=%d have=%d "
+        "round=%llu",
         static_cast<unsigned long long>(pos),
         static_cast<unsigned long long>(st.id),
-        static_cast<unsigned long long>(s.peer), ctx.last_delete_site(s.peer),
-        int(s.sent), int(s.have_peer),
+        static_cast<unsigned long long>(s.peer), int(s.sent), int(s.have_peer),
         static_cast<unsigned long long>(ctx.round()));
     return;
   }

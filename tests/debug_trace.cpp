@@ -75,7 +75,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown scenario\n");
     return 1;
   }
-  eng->set_edge_delete_tracing(true);  // debug harness: keep deletion sites
+  // Every committed edge removal, with the protocol site (or "external")
+  // that asked for it.
+  eng->set_round_observer([](std::uint64_t round,
+                             std::span<const graph::NodeIndex>,
+                             std::span<const sim::EdgeDelta> deltas) {
+    for (const sim::EdgeDelta& d : deltas) {
+      if (!d.removed) continue;
+      std::printf("  round %llu del %llu-%llu by %s\n",
+                  static_cast<unsigned long long>(round),
+                  static_cast<unsigned long long>(d.u),
+                  static_cast<unsigned long long>(d.v), d.site);
+    }
+  });
   const bool flags = argc > 3 && !std::strcmp(argv[3], "flags");
   for (int r = 0; r < rounds; ++r) {
     eng->step_round();

@@ -13,8 +13,9 @@
 
 #include <vector>
 
+#include "campaign/runner.hpp"
 #include "core/churn.hpp"
-#include "core/experiment.hpp"
+#include "core/network.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "util/log.hpp"
@@ -76,17 +77,24 @@ const Golden kGoldens[] = {
 
 TEST(Determinism, SeedEngineGoldensE1Sweep) {
   util::set_log_level(util::LogLevel::kError);
+  // Each golden is one cold-start campaign job: the E1 bench runs the same
+  // (family, N, seed) points through the same path.
   for (const Golden& g : kGoldens) {
-    core::SweepPoint pt{g.family, static_cast<std::size_t>(g.n_guests / 4),
-                        g.n_guests, g.seed};
-    const auto out = core::run_sweep_point(pt, Params{}, 400000);
-    EXPECT_EQ(out.result.rounds, g.rounds)
+    campaign::Scenario sc;
+    sc.n_guests = g.n_guests;
+    sc.host_counts = {static_cast<std::size_t>(g.n_guests / 4)};
+    sc.families = {g.family};
+    sc.seed_lo = sc.seed_hi = g.seed;
+    sc.start = campaign::StartMode::kCold;
+    const campaign::JobResult r =
+        campaign::run_job(sc, campaign::expand_jobs(sc).front());
+    EXPECT_EQ(r.rounds, g.rounds)
         << "family=" << static_cast<int>(g.family) << " N=" << g.n_guests
         << " seed=" << g.seed;
-    EXPECT_EQ(static_cast<int>(out.result.converged), g.converged);
-    EXPECT_EQ(out.result.messages, g.messages);
-    EXPECT_EQ(out.result.total_resets, g.resets);
-    EXPECT_EQ(out.peak_max_degree, g.peak_max_degree);
+    EXPECT_EQ(static_cast<int>(r.converged), g.converged);
+    EXPECT_EQ(r.messages, g.messages);
+    EXPECT_EQ(r.resets, g.resets);
+    EXPECT_EQ(r.peak_degree, g.peak_max_degree);
   }
 }
 

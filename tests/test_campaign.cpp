@@ -322,6 +322,27 @@ TEST(RunJob, ColdStartConvergesAndReportsRounds) {
   EXPECT_GT(r.messages, 0u);
 }
 
+TEST(RunJob, ColdStartReportsInitialFinalAndPeakDegrees) {
+  // The E3 bench's reading of a cold job: the hub of a 16-host star starts
+  // at degree 15, and the peak bounds both the initial and final degrees.
+  util::set_log_level(util::LogLevel::kError);
+  Scenario sc;
+  sc.n_guests = 64;
+  sc.host_counts = {16};
+  sc.families = {graph::Family::kStar};
+  sc.seed_lo = sc.seed_hi = 3;
+  sc.start = StartMode::kCold;
+  campaign::JobRunner job(sc, campaign::expand_jobs(sc)[0]);
+  job.run();
+  const auto r = job.result();
+  EXPECT_TRUE(r.converged);
+  EXPECT_GT(r.rounds, 0u);
+  const std::size_t initial = job.engine().metrics().initial_max_degree();
+  EXPECT_EQ(initial, 15u);
+  EXPECT_GE(r.peak_degree, job.engine().graph().max_degree());
+  EXPECT_GE(r.peak_degree, initial);
+}
+
 TEST(RunJob, FullPartitionBlocksCrossTrafficThenHeals) {
   util::set_log_level(util::LogLevel::kError);
   Scenario sc = tiny_scenario();

@@ -1,6 +1,5 @@
 // The experiment kit the benches are built from: table formatting (stdout
-// capture), summary statistics, and the sweep-point driver's metrics
-// (initial/final/peak degrees and determinism across calls).
+// capture) and summary statistics.
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
@@ -68,35 +67,6 @@ TEST(StatsOf, NearestRankPercentiles) {
   const auto one = stats_of({42.0});
   EXPECT_DOUBLE_EQ(one.p50, 42.0);
   EXPECT_DOUBLE_EQ(one.p99, 42.0);
-}
-
-TEST(SweepPointTest, ConvergesAndReportsDegrees) {
-  SweepPoint pt{graph::Family::kStar, 16, 64, 3};
-  const auto out = run_sweep_point(pt, Params{}, 400000);
-  EXPECT_TRUE(out.result.converged);
-  // Star: the hub starts with n-1 = 15 edges.
-  EXPECT_EQ(out.initial_max_degree, 15u);
-  EXPECT_GE(out.peak_max_degree, out.final_max_degree);
-  EXPECT_GE(out.peak_max_degree, out.initial_max_degree);
-  EXPECT_GT(out.result.rounds, 0u);
-}
-
-TEST(SweepPointTest, SameSeedSameOutcome) {
-  SweepPoint pt{graph::Family::kRandomTree, 12, 64, 9};
-  const auto a = run_sweep_point(pt, Params{}, 400000);
-  const auto b = run_sweep_point(pt, Params{}, 400000);
-  EXPECT_EQ(a.result.rounds, b.result.rounds);
-  EXPECT_EQ(a.result.messages, b.result.messages);
-  EXPECT_EQ(a.peak_max_degree, b.peak_max_degree);
-}
-
-TEST(SweepPointTest, DifferentSeedsUsuallyDiffer) {
-  SweepPoint a{graph::Family::kRandomTree, 12, 64, 1};
-  SweepPoint b{graph::Family::kRandomTree, 12, 64, 2};
-  const auto ra = run_sweep_point(a, Params{}, 400000);
-  const auto rb = run_sweep_point(b, Params{}, 400000);
-  ASSERT_TRUE(ra.result.converged && rb.result.converged);
-  EXPECT_NE(ra.result.messages, rb.result.messages);
 }
 
 }  // namespace

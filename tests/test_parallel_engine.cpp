@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "core/churn.hpp"
-#include "core/experiment.hpp"
+#include "core/network.hpp"
 #include "graph/generators.hpp"
 #include "sim/engine.hpp"
 #include "sim/worker_pool.hpp"

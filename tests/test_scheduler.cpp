@@ -4,6 +4,8 @@
 // under set_max_message_delay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -231,37 +233,59 @@ TEST(EngineScheduler, BoundedDelayDeliversAllWithinWindowInFifoOrder) {
   EXPECT_GT(max_r, min_r);  // delays actually spread across rounds
 }
 
-// Node 0 disconnects node 1 in round 0, then reads back the recorded
-// deletion site. Tracing is opt-in; untracked is the (bounded) default.
+// In round 0 node 0 deletes (0, 1) outright, then deletes (0, 2) on the
+// certificate path 0-1-2 — which the first delete of the same batch has
+// just severed, so the commit-time check (D14) drops it.
 struct Dropper {
   struct Message {
     int x;
   };
-  struct NodeState {
-    std::string site;
-  };
+  struct NodeState {};
   struct PublicState {
     bool operator==(const PublicState&) const = default;
   };
   void init_node(NodeId, NodeState&, util::Rng&) {}
   void publish(const NodeState&, PublicState&) {}
   void step(NodeCtx<Dropper>& ctx) {
-    if (ctx.self() != 0) return;
-    if (ctx.round() == 0) ctx.disconnect(1, "drop-site");
-    if (ctx.round() == 1) ctx.state().site = ctx.last_delete_site(1);
+    if (ctx.self() != 0 || ctx.round() != 0) return;
+    ctx.disconnect(1, "drop-site");
+    ctx.disconnect(2, "stale-site", /*witness=*/1);
   }
 };
 
-TEST(EngineScheduler, EdgeDeleteTracingIsOptIn) {
-  for (bool tracing : {false, true}) {
-    graph::Graph g({0, 1});
-    g.add_edge(0, 1);
-    Engine<Dropper> eng(std::move(g), Dropper{}, 1);
-    eng.set_edge_delete_tracing(tracing);
-    eng.step_round();
-    eng.step_round();
-    EXPECT_EQ(eng.state(0).site, tracing ? "drop-site" : "(untracked)");
-  }
+TEST(EngineScheduler, RoundObserverSeesEachCommittedDeleteWithItsSite) {
+  graph::Graph g({0, 1, 2, 3});
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 2);
+  g.add_edge(2, 3);
+  Engine<Dropper> eng(std::move(g), Dropper{}, 1);
+  struct Seen {
+    std::uint64_t round;
+    NodeId u, v;
+    std::string site;
+  };
+  std::vector<Seen> seen;
+  eng.set_round_observer([&](std::uint64_t round, std::span<const NodeIndex>,
+                             std::span<const EdgeDelta> deltas) {
+    for (const EdgeDelta& d : deltas) {
+      ASSERT_TRUE(d.removed);
+      ASSERT_NE(d.site, nullptr);
+      seen.push_back({round, d.u, d.v, d.site});
+    }
+  });
+  eng.step_round();
+  EXPECT_TRUE(eng.graph().has_edge(0, 2));  // the stale delete was dropped
+  EXPECT_EQ(eng.metrics().stale_cert_drops(), 1u);
+  eng.inject_edge_removal(2, 3);
+  eng.step_round();
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].round, 0u);
+  EXPECT_EQ(std::minmax(seen[0].u, seen[0].v), std::minmax<NodeId>(0, 1));
+  EXPECT_EQ(seen[0].site, "drop-site");
+  EXPECT_EQ(seen[1].round, 1u);
+  EXPECT_EQ(std::minmax(seen[1].u, seen[1].v), std::minmax<NodeId>(2, 3));
+  EXPECT_EQ(seen[1].site, "external");
 }
 
 TEST(EngineScheduler, RoundActionsCountsSendsAndHoldsNotDeliveries) {
