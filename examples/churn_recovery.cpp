@@ -9,34 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "core/churn.hpp"
 #include "core/network.hpp"
 #include "graph/generators.hpp"
 
 using namespace chs;
-using stabilizer::HostState;
-
-namespace {
-
-/// Host `victim` crashes and rejoins: edges dropped, one fresh link to
-/// `anchor`, state wiped to the post-reset singleton.
-void churn_host(core::StabEngine& eng, graph::NodeId victim,
-                graph::NodeId anchor) {
-  const auto nbrs = eng.graph().neighbors(victim);  // copy
-  for (graph::NodeId v : nbrs) eng.inject_edge_removal(victim, v);
-  eng.inject_edge(victim, anchor);
-  HostState& st = eng.state_mut(victim);
-  st = HostState{};
-  st.id = victim;
-  st.phase = core::Phase::kCbt;
-  st.cluster = victim;
-  st.lo = 0;
-  st.hi = eng.protocol().params().n_guests;
-  eng.protocol().recompute_fragments(st);
-  st.nbrs = eng.graph().neighbors(victim);
-  eng.republish();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::uint64_t n_guests =
@@ -59,7 +36,7 @@ int main(int argc, char** argv) {
     const graph::NodeId victim = ids[rng.next_below(ids.size())];
     graph::NodeId anchor = victim;
     while (anchor == victim) anchor = ids[rng.next_below(ids.size())];
-    churn_host(*eng, victim, anchor);
+    core::churn_host(*eng, victim, anchor);
 
     // Plus some stray edges, as a messy fault would leave behind.
     for (int extra = 0; extra < 3; ++extra) {

@@ -122,6 +122,34 @@ struct Adversary {
     return adversary::zone_of_rack(r, racks, zones) == domain;
   }
 
+  /// Whether the scenario's link windows let a message from -> to through,
+  /// `rel` rounds into the timeline. Partition cuts come first: a cut
+  /// message consumes no loss draw, so the draw sequence of `loss_rng` is
+  /// well-defined. A scoped loss window only draws for messages touching
+  /// its domain, so out-of-domain traffic never perturbs the stream.
+  bool link_passes(const Scenario& s, std::uint64_t rel, NodeId from,
+                   NodeId to, util::Rng& loss_rng) const {
+    for (std::size_t w = 0; w < s.partitions.size(); ++w) {
+      const auto& win = s.partitions[w];
+      if (rel < win.begin || rel >= win.end) continue;
+      const bool cut = win.scope == kScopeGlobal
+                           ? in_side_a(w, from) != in_side_a(w, to)
+                           : in_domain(win.scope, win.domain, from) !=
+                                 in_domain(win.scope, win.domain, to);
+      if (cut) return false;
+    }
+    for (const LossWindow& win : s.losses) {
+      if (rel < win.begin || rel >= win.end) continue;
+      if (win.scope != kScopeGlobal &&
+          !in_domain(win.scope, win.domain, from) &&
+          !in_domain(win.scope, win.domain, to)) {
+        continue;
+      }
+      if (loss_rng.next_double() < win.rate) return false;
+    }
+    return true;
+  }
+
   /// `count` distinct hosts drawn from `ids` (event stream).
   std::vector<NodeId> pick_distinct(const std::vector<NodeId>& ids,
                                     std::uint64_t count) {
@@ -457,31 +485,7 @@ struct JobRunner::Impl {
           adversary::selective_drops(from, to)) {
         return false;
       }
-      const std::uint64_t rel = round - start;
-      // Partition cuts next; a cut message consumes no loss draw, so the
-      // loss stream's draw sequence is well-defined.
-      for (std::size_t w = 0; w < s->partitions.size(); ++w) {
-        const auto& win = s->partitions[w];
-        if (rel < win.begin || rel >= win.end) continue;
-        const bool cut =
-            win.scope == kScopeGlobal
-                ? a->in_side_a(w, from) != a->in_side_a(w, to)
-                : a->in_domain(win.scope, win.domain, from) !=
-                      a->in_domain(win.scope, win.domain, to);
-        if (cut) return false;
-      }
-      for (const LossWindow& win : s->losses) {
-        if (rel < win.begin || rel >= win.end) continue;
-        // A scoped window only draws for messages touching its domain —
-        // out-of-domain traffic must not perturb the stream.
-        if (win.scope != kScopeGlobal &&
-            !a->in_domain(win.scope, win.domain, from) &&
-            !a->in_domain(win.scope, win.domain, to)) {
-          continue;
-        }
-        if (a->loss_rng.next_double() < win.rate) return false;
-      }
-      return true;
+      return a->link_passes(*s, round - start, from, to, a->loss_rng);
     });
   }
 
@@ -497,29 +501,10 @@ struct JobRunner::Impl {
     Adversary* a = &*adv;
     const Scenario* s = &sc;
     dht::WorkloadDriver* d = &*wl;
-    wl->engine().set_delivery_filter([a, s, d](NodeId from, NodeId to,
-                                               std::uint64_t round) {
-      for (std::size_t w = 0; w < s->partitions.size(); ++w) {
-        const auto& win = s->partitions[w];
-        if (round < win.begin || round >= win.end) continue;
-        const bool cut =
-            win.scope == kScopeGlobal
-                ? a->in_side_a(w, from) != a->in_side_a(w, to)
-                : a->in_domain(win.scope, win.domain, from) !=
-                      a->in_domain(win.scope, win.domain, to);
-        if (cut) return false;
-      }
-      for (const LossWindow& win : s->losses) {
-        if (round < win.begin || round >= win.end) continue;
-        if (win.scope != kScopeGlobal &&
-            !a->in_domain(win.scope, win.domain, from) &&
-            !a->in_domain(win.scope, win.domain, to)) {
-          continue;
-        }
-        if (d->loss_rng().next_double() < win.rate) return false;
-      }
-      return true;
-    });
+    wl->engine().set_delivery_filter(
+        [a, s, d](NodeId from, NodeId to, std::uint64_t round) {
+          return a->link_passes(*s, round, from, to, d->loss_rng());
+        });
   }
 
   void begin_timeline() {

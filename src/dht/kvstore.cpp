@@ -1,5 +1,6 @@
 #include "dht/kvstore.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "util/check.hpp"
@@ -140,7 +141,17 @@ void KvProtocol::step(Ctx& ctx) {
 std::unique_ptr<KvEngine> make_kv_engine(const core::StabEngine& src,
                                          std::uint64_t seed,
                                          std::uint32_t max_message_delay) {
-  auto eng = routing::snapshot_routes<KvProtocol>(src, seed);
+  CHS_CHECK_MSG(core::is_converged(src),
+                "a data plane requires a converged stabilizer engine");
+  graph::Graph g(src.graph().ids());
+  for (const auto& [u, v] : src.graph().edge_list()) g.add_edge(u, v);
+  auto eng = std::make_unique<KvEngine>(
+      std::move(g), KvProtocol(src.protocol().params().n_guests), seed);
+  for (NodeId id : eng->graph().ids()) {
+    const auto& from = src.state(id);
+    routing::RouteTable& to = eng->state_mut(id);
+    to = routing::RouteTable{from.lo, from.hi, from.fwd_maps, from.succ};
+  }
   eng->set_max_message_delay(max_message_delay);
   eng->republish();
   return eng;

@@ -3,10 +3,11 @@
 // are used to organize a diverse set of processes for efficient operations
 // like searching and routing").
 //
-// The store is a pure data plane: its routing tables are snapshotted from a
-// *converged* stabilizer engine exactly like routing::LookupProtocol, and
-// every put/get travels as real messages over the built host network,
-// forwarded by the shared greedy rule of routing/route.hpp.
+// The store is the overlay's one data plane: make_kv_engine snapshots its
+// routing tables from a *converged* stabilizer engine, and every put/get
+// travels as real messages over the built host network, forwarded by the
+// greedy rule of routing/route.hpp. A lookup is the first half of a get
+// (`chordsim route` issues gets and reports their round-trip hops).
 //
 // Placement. A key hashes to a guest position key_to_guest(key); replica j
 // of R lives at replica_guest(key, j) = (key_to_guest(key) + j*N/R) mod N,
@@ -37,7 +38,9 @@
 #include <string>
 #include <vector>
 
+#include "core/network.hpp"
 #include "routing/route.hpp"
+#include "sim/engine.hpp"
 
 namespace chs::dht {
 
@@ -130,9 +133,9 @@ class KvProtocol {
 
 using KvEngine = sim::Engine<KvProtocol>;
 
-/// Snapshot a *converged* stabilizer engine's topology and routing state
-/// into a KV data-plane engine (routing::snapshot_routes, the same hand-off
-/// as routing::make_lookup_engine; CHS_CHECKs convergence).
+/// Snapshot a *converged* stabilizer engine into a KV data-plane engine:
+/// the same host graph, every host's RouteTable copied from its final
+/// stabilizer state (CHS_CHECKs convergence).
 /// `max_message_delay` > 1 runs the plane under the §7 bounded-asynchrony
 /// model.
 std::unique_ptr<KvEngine> make_kv_engine(const core::StabEngine& src,

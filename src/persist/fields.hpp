@@ -27,7 +27,7 @@
 #include "dht/kvstore.hpp"
 #include "dht/workload.hpp"
 #include "persist/io.hpp"
-#include "routing/protocol.hpp"
+#include "routing/route.hpp"
 #include "stabilizer/messages.hpp"
 #include "stabilizer/state.hpp"
 #include "topology/cbt.hpp"
@@ -355,24 +355,6 @@ void persist_fields(A& a, RouteTable& v) {
   a(v.fwd);
   a(v.succ);
 }
-
-template <typename A>
-void persist_fields(A& a, LookupProtocol::Message& v) {
-  a(v.lookup_id);
-  a(v.target);
-  a(v.origin);
-  a(v.hops);
-}
-
-template <typename A>
-void persist_fields(A& a, LookupProtocol::NodeState& v) {
-  a(static_cast<RouteTable&>(v));
-  a(v.delivered);
-  a(v.to_send);
-}
-
-template <typename A>
-void persist_fields(A& a, LookupProtocol::PublicState&) {}
 
 }  // namespace chs::routing
 

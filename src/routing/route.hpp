@@ -1,5 +1,5 @@
-// The one greedy routing rule of the built overlay (DESIGN.md D13), shared
-// by both data planes: routing::LookupProtocol and dht::KvProtocol.
+// The one greedy routing rule of the built overlay (DESIGN.md D13), used by
+// the data plane, dht::KvProtocol.
 //
 // A host's RouteTable is exactly what the stabilizer left behind: its
 // responsible range [lo, hi) and the per-level fwd interval maps ("who hosts
@@ -7,21 +7,17 @@
 // message for guest t is forwarded Chord-style (Stoica et al., SIGCOMM 2001)
 // to the usable neighbor hosting the guest that precedes t most closely on
 // the ring; the ring level guarantees progress, the top levels make it
-// logarithmic. The caller decides which neighbors are usable (the lookup
-// plane: current neighbors; the KV plane: current neighbors whose heartbeat
-// is live).
+// logarithmic. The caller decides which neighbors are usable (the KV plane:
+// current neighbors whose heartbeat is live).
 //
-// snapshot_routes() is the hand-off from the maintenance plane to the data
-// plane: it copies the host graph and every host's RouteTable out of a
+// dht::make_kv_engine is the hand-off from the maintenance plane to the
+// data plane: it copies the host graph and every host's RouteTable out of a
 // converged stabilizer engine.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "core/network.hpp"
-#include "sim/engine.hpp"
 #include "stabilizer/state.hpp"
 #include "util/bitops.hpp"
 #include "util/check.hpp"
@@ -105,26 +101,6 @@ NodeId next_hop(const RouteTable& rt, GuestId t, std::uint64_t n,
     floor_dist = best_dist;
     floor_pos = best_pos;
   }
-}
-
-/// Snapshot a converged stabilizer engine into a data-plane engine of
-/// protocol P (constructed from N): same host graph, every host's RouteTable
-/// copied from its final stabilizer state. The caller republishes.
-template <class P>
-std::unique_ptr<sim::Engine<P>> snapshot_routes(const core::StabEngine& src,
-                                                std::uint64_t seed) {
-  CHS_CHECK_MSG(core::is_converged(src),
-                "a data plane requires a converged stabilizer engine");
-  graph::Graph g(src.graph().ids());
-  for (const auto& [u, v] : src.graph().edge_list()) g.add_edge(u, v);
-  auto eng = std::make_unique<sim::Engine<P>>(
-      std::move(g), P(src.protocol().params().n_guests), seed);
-  for (NodeId id : eng->graph().ids()) {
-    const auto& from = src.state(id);
-    RouteTable& to = eng->state_mut(id);
-    to = RouteTable{from.lo, from.hi, from.fwd_maps, from.succ};
-  }
-  return eng;
 }
 
 }  // namespace chs::routing

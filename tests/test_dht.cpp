@@ -1,8 +1,9 @@
 // The replicated key-value store over the stabilized overlay, tested at
 // the protocol level: placement determinism, put/get roundtrips as real
-// in-band messages, the replication invariant, routing around down hosts,
-// and bounded asynchrony. Client-side failover (retrying the next replica)
-// belongs to dht::WorkloadDriver and is tested in test_workload.cpp.
+// in-band messages, the replication invariant, routing on every target,
+// routing around down hosts, and bounded asynchrony. Client-side failover
+// (retrying the next replica) belongs to dht::WorkloadDriver and is tested
+// in test_workload.cpp.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -225,6 +226,132 @@ TEST(KvStore, HopsAreLogarithmic) {
   // There-and-back on a Chord overlay: a generous constant times log2 N.
   EXPECT_LE(max_hops, 4 * (util::ceil_log2(kGuests) + 2));
   EXPECT_EQ(hits, 40);
+}
+
+// A converged network of `n_hosts` on `n_guests` for `target`, stabilized
+// from the scaffold with a legal CBT installed.
+std::unique_ptr<core::StabEngine> stabilized(
+    std::uint64_t n_guests, std::size_t n_hosts, std::uint64_t seed,
+    topology::TargetSpec target = topology::chord_target()) {
+  util::Rng rng(seed);
+  auto ids = graph::sample_ids(n_hosts, n_guests, rng);
+  core::Params p;
+  p.n_guests = n_guests;
+  p.target = std::move(target);
+  auto eng = core::make_engine(core::scaffold_graph(ids, n_guests), p, seed);
+  core::install_legal_cbt(*eng, core::Phase::kChord);
+  CHS_CHECK(core::run_to_convergence(*eng, 100000).converged);
+  return eng;
+}
+
+struct GetStats {
+  std::size_t answered = 0;
+  std::uint64_t total_hops = 0;  // round-trip: request plus reply
+  std::uint32_t max_hops = 0;
+  std::uint64_t rounds = 0;
+};
+
+// Queue a get for guest `target` on `client`'s to_send; the reply comes
+// home to the client's own range.
+void queue_get(KvEngine& kv, graph::NodeId client, GuestId target,
+               std::uint64_t op_id) {
+  Message m;
+  m.kind = kGet;
+  m.op_id = op_id;
+  m.target = target;
+  m.origin = client;
+  m.reply_home = kv.state(client).lo;
+  kv.state_mut(client).to_send.push_back(std::move(m));
+}
+
+// `count` gets from random clients to random guests, all queued at once,
+// stepped until the plane has been quiescent for three rounds; the answers
+// are read from every client's completion log.
+GetStats random_gets(KvEngine& kv, std::size_t count, std::uint64_t seed) {
+  const auto& ids = kv.graph().ids();
+  util::Rng rng(seed);
+  for (std::size_t i = 0; i < count; ++i) {
+    const graph::NodeId client = ids[rng.next_below(ids.size())];
+    queue_get(kv, client, rng.next_below(kv.protocol().n_guests()), i);
+  }
+  GetStats stats;
+  for (; stats.rounds < 5000 && kv.quiescent_streak() < 3; ++stats.rounds) {
+    kv.step_round();
+  }
+  for (graph::NodeId id : ids) {
+    for (const Message& reply : kv.state(id).completed) {
+      ++stats.answered;
+      stats.total_hops += reply.hops;
+      stats.max_hops = std::max(stats.max_hops, reply.hops);
+    }
+  }
+  return stats;
+}
+
+TEST(KvStore, RoundTripStatsArePinned) {
+  // Exact data-plane numbers on one network: any change to the next-hop
+  // rule, its scan order or the snapshot hand-off moves at least one.
+  auto src = stabilized(256, 48, 3);
+  auto kv = make_kv_engine(*src, 1);
+  const GetStats stats = random_gets(*kv, 200, 7);
+  EXPECT_EQ(stats.answered, 200u);
+  EXPECT_EQ(stats.max_hops, 8u);
+  EXPECT_EQ(stats.rounds, 12u);
+  EXPECT_EQ(stats.total_hops, 1099u);
+}
+
+TEST(KvStore, ExtensionTargetsRouteToo) {
+  // The routing tables the waves build (fwd maps per level) exist for every
+  // target, so gets are answered on each; only the hop counts differ (fewer
+  // long fingers kept means more ring steps).
+  for (const auto& [name, target] :
+       std::vector<std::pair<const char*, topology::TargetSpec>>{
+           {"bichord", topology::bichord_target()},
+           {"skiplist", topology::skiplist_target()},
+           {"smallworld", topology::smallworld_target(13)},
+           {"hypercube", topology::hypercube_target()}}) {
+    auto src = stabilized(128, 24, 9, target);
+    auto kv = make_kv_engine(*src, 2);
+    EXPECT_EQ(random_gets(*kv, 120, 5).answered, 120u) << name;
+  }
+}
+
+TEST(KvStore, LocalGetsCostZeroHops) {
+  // A get for a guest the client itself hosts is served and answered
+  // without a message.
+  auto src = stabilized(128, 16, 9);
+  auto kv = make_kv_engine(*src, 1);
+  const auto& ids = kv->graph().ids();
+  for (graph::NodeId id : ids) queue_get(*kv, id, kv->state(id).lo, id);
+  for (int r = 0; r < 10; ++r) kv->step_round();
+  for (graph::NodeId id : ids) {
+    const auto& done = kv->state(id).completed;
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].hops, 0u);
+  }
+  EXPECT_EQ(kv->metrics().messages(), 0u);
+}
+
+TEST(KvStore, NextHopNeverOvershoots) {
+  // Unit check of the closest-preceding rule on the snapshotted tables: no
+  // next hop for a local target, else a current neighbor.
+  auto src = stabilized(128, 16, 11);
+  auto kv = make_kv_engine(*src, 1);
+  const auto& ids = kv->graph().ids();
+  util::Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    const graph::NodeId h = ids[rng.next_below(ids.size())];
+    const auto& st = kv->state(h);
+    const GuestId t = rng.next_below(128);
+    const auto next =
+        routing::next_hop(st, t, 128, [](graph::NodeId) { return true; });
+    if (t >= st.lo && t < st.hi) {
+      EXPECT_EQ(next, KvProtocol::kNoneHost);
+    } else {
+      EXPECT_NE(next, KvProtocol::kNoneHost);
+      EXPECT_TRUE(kv->graph().has_edge(h, next)) << h << "->" << next;
+    }
+  }
 }
 
 TEST(Failover, GetSurvivesPrimaryFailure) {

@@ -5,6 +5,7 @@
 //                   [--delay 1] [--max-rounds 400000] [--trace]
 //                   [--workers 1] [--fast-forward]
 //   chordsim route  [--n 64] [--N 256] [--lookups 500] [--seed 1]
+//                   (KV gets; hops reported are round-trip)
 //   chordsim churn  [--n 64] [--N 256] [--episodes 3] [--burst 1] [--seed 1]
 //   chordsim dot    [--n 24] [--N 64] [--family line] [--seed 1]
 //                   [--rounds R] [--svg]  (0 = run to convergence)
@@ -52,18 +53,20 @@
 // with the flight recorder armed unconditionally and writes the Chrome
 // trace-event JSON (chrome://tracing, Perfetto) to --out or stdout.
 //
-// `run` stabilizes an Avatar(target) network from the chosen initial
-// topology and prints the convergence metrics (optionally a per-round phase
-// trace). `route` additionally snapshots the converged overlay and issues
-// in-band lookups. `churn` repeatedly tears a host out and lets the network
-// re-stabilize. `dot` prints a Graphviz snapshot (nodes colored by phase,
-// edges by ring/tree/finger/transient classification) after R rounds —
+// `run` stabilizes an Avatar(target) network from the chosen initial topology
+// and prints the convergence metrics (optionally a per-round phase trace).
+// `route` additionally snapshots the converged overlay into the KV data plane
+// (dht::make_kv_engine), issues `--lookups` gets from random hosts to random
+// guests, and reports their round-trip hops (request plus reply); it exits 1
+// unless every get is answered. `churn` repeatedly tears a host out and lets
+// the network re-stabilize. `dot` prints a Graphviz snapshot (nodes colored by
+// phase, edges by ring/tree/finger/transient classification) after R rounds —
 // render with `neato -n2 -Tsvg`. `campaign` loads a declarative scenario
 // (src/campaign/scenario.hpp documents the format, examples/scenarios/ has
-// ready-made ones), fans the expanded job list out over `--jobs` threads,
-// and prints per-job and aggregate reports — byte-identical for any
-// `--jobs`/`--workers` values (DESIGN.md D7). Replicated-KV reads after
-// host failures are one such scenario: examples/scenarios/kv_failover.scn.
+// ready-made ones), fans the expanded job list out over `--jobs` threads, and
+// prints per-job and aggregate reports — byte-identical for any
+// `--jobs`/`--workers` values (DESIGN.md D7). Replicated-KV reads after host
+// failures are one such scenario: examples/scenarios/kv_failover.scn.
 //
 // Unknown --flags are a usage error: a typo like `--worker 8` must fail
 // loudly, not silently run single-threaded.
@@ -81,12 +84,12 @@
 #include "core/invariants.hpp"
 #include "core/svg.hpp"
 #include "core/trace.hpp"
+#include "dht/kvstore.hpp"
 #include "graph/analysis.hpp"
 #include "graph/generators.hpp"
 #include "obs/flight.hpp"
 #include "obs/profiler.hpp"
 #include "persist/io.hpp"
-#include "routing/protocol.hpp"
 #include "util/bitops.hpp"
 #include "util/log.hpp"
 #include "verify/fuzzer.hpp"
@@ -252,15 +255,47 @@ int cmd_route(const Args& a) {
     std::printf("did not converge\n");
     return 1;
   }
-  auto lk = routing::make_lookup_engine(*eng, a.get_u64("seed", 1));
-  const auto stats = routing::run_inband_lookups(
-      *lk, a.get_u64("lookups", 500), a.get_u64("seed", 1) + 7, 5000);
-  std::printf("lookups: %zu issued, %zu delivered, mean %.2f hops, max %u "
-              "(log N = %u), drained in %llu rounds\n",
-              stats.issued, stats.delivered, stats.mean_hops, stats.max_hops,
-              util::ceil_log2(eng->protocol().params().n_guests),
-              static_cast<unsigned long long>(stats.rounds));
-  return stats.delivered == stats.issued ? 0 : 1;
+  const std::uint64_t seed = a.get_u64("seed", 1);
+  auto kv = dht::make_kv_engine(*eng, seed);
+  // Each get goes from a random origin to a random guest; its reply comes
+  // home to a guest in the origin's range.
+  const auto& ids = kv->graph().ids();
+  const std::uint64_t n = kv->protocol().n_guests();
+  const std::size_t issued = a.get_u64("lookups", 500);
+  util::Rng rng(seed + 7);
+  for (std::size_t i = 0; i < issued; ++i) {
+    const graph::NodeId origin = ids[rng.next_below(ids.size())];
+    dht::KvProtocol::Message m;
+    m.kind = dht::KvProtocol::Message::Kind::kGet;
+    m.op_id = i;
+    m.target = rng.next_below(n);
+    m.origin = origin;
+    m.reply_home = kv->state(origin).lo;
+    kv->state_mut(origin).to_send.push_back(std::move(m));
+  }
+  std::uint64_t rounds = 0;
+  for (; rounds < 5000 && kv->quiescent_streak() < 3; ++rounds) {
+    kv->step_round();
+  }
+  std::size_t answered = 0;
+  std::uint64_t total_hops = 0;
+  std::uint32_t max_hops = 0;
+  for (graph::NodeId id : ids) {
+    for (const auto& reply : kv->state(id).completed) {
+      ++answered;
+      total_hops += reply.hops;
+      max_hops = std::max(max_hops, reply.hops);
+    }
+  }
+  std::printf("gets: %zu issued, %zu answered, round-trip hops mean %.2f, "
+              "max %u (log N = %u), drained in %llu rounds\n",
+              issued, answered,
+              answered > 0 ? static_cast<double>(total_hops) /
+                                 static_cast<double>(answered)
+                           : 0.0,
+              max_hops, util::ceil_log2(n),
+              static_cast<unsigned long long>(rounds));
+  return answered == issued ? 0 : 1;
 }
 
 int cmd_churn(const Args& a) {
