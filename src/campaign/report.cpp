@@ -162,8 +162,8 @@ std::string CampaignReport::to_json() const {
     out += "     \"peak_degree\": " + fmt_u64(r.peak_degree) +
            ", \"degree_expansion\": " + fmt_f(r.degree_expansion);
     if (r.oracle_armed) {
-      // Emitted only for probed jobs, so probe-less reports (and the CI
-      // golden) keep their exact pre-probe bytes.
+      // Emitted only for oracle-armed jobs, so oracle-free reports (and
+      // the CI golden) keep their exact bytes.
       out += ", \"oracle\": {\"violation\": \"" +
              json_escape(r.oracle_violation) + "\", \"round\": " +
              fmt_u64(r.oracle_round) + ", \"rounds_checked\": " +

@@ -66,14 +66,17 @@ struct JobResult {
   std::size_t peak_degree = 0;   // over the whole run (setup + timeline)
   double degree_expansion = 0.0;
   std::vector<EventOutcome> events;
-  /// Verification-probe outcome (campaign::JobProbe / verify::OracleProbe).
-  /// Untouched when the job ran without a probe; serialized into JSON only
-  /// for armed jobs, so probe-less reports (and the CI golden) are
-  /// byte-identical to pre-probe ones.
+  /// Invariant-oracle outcome (RunOptions::oracle, DESIGN.md D8), written
+  /// by the runner. Untouched when the job ran without the oracle;
+  /// serialized into JSON only for armed jobs, so oracle-free reports (and
+  /// the CI golden) keep their exact bytes.
   bool oracle_armed = false;
   std::string oracle_violation;       // first violated invariant, "" = clean
   std::uint64_t oracle_round = 0;     // engine round of the violation
   std::uint64_t oracle_rounds_checked = 0;
+  /// InvariantOracle::Path bits the job exercised (DESIGN.md D14): the
+  /// fuzzer's coverage signal. Checkpointed, never written to JSON or CSV.
+  std::uint32_t oracle_paths = 0;
   /// Adversary outcome (DESIGN.md D11). Armed iff the scenario declares
   /// Byzantine windows; like the oracle block, serialized into JSON only
   /// when armed so bestiary-free reports keep their pre-D11 bytes.

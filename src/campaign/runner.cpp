@@ -231,8 +231,11 @@ struct JobRunner::Impl {
   Scenario sc;  // owned copy: the runner may outlive a minimizer candidate
   JobSpec spec;
   std::size_t engine_workers = 1;
-  JobProbe* probe = nullptr;
   std::unique_ptr<core::StabEngine> eng;
+  // Invariant oracle (DESIGN.md D8), armed by the constructor's `oracle`.
+  // Declared after `eng` so it is destroyed — and detaches its observer —
+  // first, also when the runner is abandoned mid-job.
+  std::optional<verify::InvariantOracle> oracle;
   std::vector<TimelineEvent> events;  // sorted by round (stable)
   std::uint64_t t_end = 0;
 
@@ -260,7 +263,6 @@ struct JobRunner::Impl {
   std::vector<std::uint64_t> byz_open;
   // Timeline-phase metric baselines.
   std::uint64_t msg0 = 0, drop0 = 0, adds0 = 0, dels0 = 0, resets0 = 0;
-  bool probe_finished = false;
   // Telemetry series recorder (DESIGN.md D12), armed by `series` in the
   // scenario. Deterministic state — checkpointed in the OBSR section.
   std::optional<obs::SeriesRecorder> series;
@@ -274,21 +276,20 @@ struct JobRunner::Impl {
   obs::FlightRecorder* flight = nullptr;
   std::vector<std::pair<stabilizer::Phase, stabilizer::MergeStage>> fl_cache;
 
-  bool probe_failed() const { return probe && probe->failed(); }
+  bool oracle_failed() const { return oracle && oracle->hard_failed(); }
 
-  std::uint64_t probe_contained() const {
-    return probe ? probe->adversary_stats().contained : 0;
+  std::uint64_t oracle_contained() const {
+    return oracle ? oracle->contained_violations() : 0;
   }
 
   /// The series reading after timeline round `tr`: engine counters, the
-  /// probe's violation classification, the Byzantine windows open during
+  /// oracle's violation classification, the Byzantine windows open during
   /// `tr`, and the workload's columns.
   obs::SeriesSample series_reading(std::uint64_t tr) const {
     obs::SeriesSample r = obs::engine_reading(eng->metrics());
-    if (probe) {
-      const AdversaryStats st = probe->adversary_stats();
-      r.contained = st.contained;
-      r.violations = st.real;
+    if (oracle) {
+      r.contained = oracle->contained_violations();
+      r.violations = oracle->violation() ? 1 : 0;
     }
     for (const ByzantineWindow& w : sc.byzantine) {
       if (tr >= w.begin && tr < w.end) ++r.windows_open;
@@ -387,7 +388,7 @@ struct JobRunner::Impl {
   }
 
   /// Open/close Byzantine-window outcomes at round `t` and re-install the
-  /// behavior policy. An opening outcome stores the probe's containment
+  /// behavior policy. An opening outcome stores the oracle's containment
   /// counter as a baseline in `contained`; the close (or finish_timeline,
   /// for windows the job ends inside) rewrites it as the delta.
   void process_byz_boundaries() {
@@ -399,7 +400,7 @@ struct JobRunner::Impl {
         o.end = win.end;
         o.kind = win.kind;
         o.hosts = adv->byz_sets[w];
-        o.contained = probe_contained();
+        o.contained = oracle_contained();
         byz_open[w] = out.byz_windows.size() + 1;
         out.byz_windows.push_back(std::move(o));
       }
@@ -409,7 +410,7 @@ struct JobRunner::Impl {
       }
       if (win.end == t && byz_open[w] != 0) {
         ByzWindowOutcome& o = out.byz_windows[byz_open[w] - 1];
-        o.contained = probe_contained() - o.contained;
+        o.contained = oracle_contained() - o.contained;
         if (flight) {
           flight->record(eng->round(), obs::FlightKind::kByzClose, w, 0,
                          adversary::behavior_name(win.kind));
@@ -520,10 +521,10 @@ struct JobRunner::Impl {
     install_filter();
     if (!sc.byzantine.empty()) {
       byz_open.assign(sc.byzantine.size(), 0);
-      // Blame attribution (DESIGN.md D11): the probe learns the union of
+      // Blame attribution (DESIGN.md D11): the oracle learns the union of
       // all windows' Byzantine sets up front — a violation seeded during a
       // window can surface after it closes, and must still be attributed.
-      if (probe) probe->set_adversarial(adv->byz_union);
+      if (oracle) oracle->set_adversarial(adv->byz_union);
     }
     if (sc.workload_armed()) {
       // The data plane snapshots the *converged* network (validate requires
@@ -567,7 +568,7 @@ struct JobRunner::Impl {
       for (std::size_t w = 0; w < sc.byzantine.size(); ++w) {
         if (byz_open[w] != 0 && sc.byzantine[w].end > t) {
           ByzWindowOutcome& o = out.byz_windows[byz_open[w] - 1];
-          o.contained = probe_contained() - o.contained;
+          o.contained = oracle_contained() - o.contained;
         }
       }
       // Acceptance criterion for the correct-node subset: every host that
@@ -631,13 +632,13 @@ struct JobRunner::Impl {
 };
 
 JobRunner::JobRunner(const Scenario& sc, const JobSpec& spec,
-                     std::size_t engine_workers, JobProbe* probe)
+                     std::size_t engine_workers,
+                     std::optional<verify::OracleConfig> oracle)
     : impl_(std::make_unique<Impl>()) {
   CHS_CHECK_MSG(sc.validate().empty(), "scenario failed validation");
   Impl& im = *impl_;
   im.sc = sc;
   im.spec = spec;
-  im.probe = probe;
   im.out.spec = spec;
   // Armed even for jobs that die in setup: the report's `series` block is a
   // function of the scenario, with whatever samples the job got to record.
@@ -678,7 +679,7 @@ JobRunner::JobRunner(const Scenario& sc, const JobSpec& spec,
       std::unique(im.byz_bounds.begin(), im.byz_bounds.end()),
       im.byz_bounds.end());
   if (engine_workers > 1) im.eng->set_worker_threads(engine_workers);
-  if (probe) probe->attach(*im.eng);
+  if (oracle) im.oracle.emplace(*im.eng, *oracle);
 
   // Apply in round order whatever order the events were declared in
   // (parse_scenario pre-sorts; builder chains need not be monotone).
@@ -694,12 +695,7 @@ JobRunner::JobRunner(const Scenario& sc, const JobSpec& spec,
   }
 }
 
-JobRunner::~JobRunner() {
-  // The engine dies with impl_; a probe the caller owns must not keep an
-  // observer installed on it (TSan-caught: an abandoned mid-run job whose
-  // OracleProbe detached at probe destruction — after the engine was gone).
-  if (impl_ && impl_->probe) impl_->probe->abandon();
-}
+JobRunner::~JobRunner() = default;
 
 bool JobRunner::finished() const {
   return impl_->stage == Impl::Stage::kFinished;
@@ -720,8 +716,8 @@ bool JobRunner::step() {
   switch (im.stage) {
     case Impl::Stage::kSetup: {
       // The abort hook semantics of run_to_convergence: invariants must
-      // hold during stabilization too, so a hard-failing probe ends setup.
-      if (im.probe_failed() || core::is_converged(*im.eng) ||
+      // hold during stabilization too, so a hard-failing oracle ends setup.
+      if (im.oracle_failed() || core::is_converged(*im.eng) ||
           im.setup_rounds >= im.sc.max_rounds) {
         im.out.setup_converged = core::is_converged(*im.eng);
         im.out.setup_rounds = im.setup_rounds;
@@ -776,7 +772,7 @@ bool JobRunner::step() {
         im.finish_timeline();
         return false;
       }
-      if (im.probe_failed()) {  // oracle hard failure
+      if (im.oracle_failed()) {
         im.finish_timeline();
         return false;
       }
@@ -817,9 +813,18 @@ JobResult JobRunner::result() {
   Impl& im = *impl_;
   CHS_CHECK_MSG(im.stage == Impl::Stage::kFinished,
                 "JobRunner::result() before the job finished");
-  if (im.probe && !im.probe_finished) {
-    im.probe->finish(im.out);
-    im.probe_finished = true;
+  if (im.oracle) {
+    // Detach before reading the verdict: the detach flushes the final
+    // partial stride window, which can itself surface the violation.
+    im.oracle->detach();
+    im.out.oracle_armed = true;
+    im.out.oracle_rounds_checked = im.oracle->rounds_checked();
+    im.out.oracle_paths = im.oracle->paths();
+    im.out.contained_violations = im.oracle->contained_violations();
+    if (const auto& v = im.oracle->violation()) {
+      im.out.oracle_violation = v->what;
+      im.out.oracle_round = v->round;
+    }
   }
   return im.out;
 }
@@ -827,11 +832,12 @@ JobResult JobRunner::result() {
 void JobRunner::set_flight(obs::FlightRecorder* flight) {
   Impl& im = *impl_;
   im.flight = flight;
+  if (im.oracle) im.oracle->set_flight(flight);
   if (!flight) return;
   im.sync_flight_cache();
-  // Chain after any probe-owned observer (the oracle installs its own in
-  // attach); the probe's detach wipes the whole chain, which is fine — it
-  // only happens when the job is over or abandoned.
+  // Chain after the oracle's observer (installed by the constructor); its
+  // detach wipes the whole chain, which is fine — that only happens when
+  // the job is over or the runner is destroyed.
   Impl* pim = &im;
   im.eng->chain_round_observer(
       [pim](std::uint64_t round, std::span<const graph::NodeIndex> dirty,
@@ -847,8 +853,8 @@ void JobRunner::set_profiler(sim::RoundProfile* p) {
 // The full and delta snapshots share everything but the engine payload:
 // JOBR/OBSR/WKLD/KVDP carry the loop state (small, rewritten verbatim in
 // both), ENGB the engine blob — self-contained (kEngine) or extending the
-// engine's checkpoint chain (kEngineDelta, DESIGN.md D10) — and PROB the
-// probe state. One traversal writes and reads the loop state; on the read
+// engine's checkpoint chain (kEngineDelta, DESIGN.md D10) — and ORCL the
+// oracle state. One traversal writes and reads the loop state; on the read
 // side each consistency check latches a Reader failure, which the caller
 // returns as the Status.
 template <typename A>
@@ -888,10 +894,10 @@ void JobRunner::Impl::persist_loop_state(A& a) {
     a(wipe_due);
     a(wipe_rack);
     a(byz_open);
-    bool has_probe = probe != nullptr;
-    a(has_probe);
-    persist::require(a, has_probe == (probe != nullptr),
-                     "probe configuration differs from the checkpointed job");
+    bool has_oracle = oracle.has_value();
+    a(has_oracle);
+    persist::require(a, has_oracle == oracle.has_value(),
+                     "oracle configuration differs from the checkpointed job");
     persist::require(a, next_event <= events.size(),
                      "event cursor out of range");
     persist::require(a,
@@ -985,9 +991,9 @@ void JobRunner::Impl::save(persist::Writer& w, bool delta) {
   // exactly these bytes.
   w(delta ? eng->checkpoint_delta_blob() : eng->checkpoint_blob());
   w.end_section();
-  w.begin_section(persist::tag4("PROB"));
-  if (probe) probe->checkpoint(w);
-  w.end_section();
+  persist::section(w, persist::tag4("ORCL"), [&] {
+    if (oracle) w(*oracle);
+  });
 }
 
 persist::Status JobRunner::Impl::load(persist::Reader& r, bool delta) {
@@ -1005,11 +1011,10 @@ persist::Status JobRunner::Impl::load(persist::Reader& r, bool delta) {
       !s.ok) {
     return s;
   }
-  if (auto s = r.open_section(persist::tag4("PROB")); !s.ok) return s;
-  if (probe) {
-    if (auto s = probe->restore(r); !s.ok) return s;
-  }
-  if (auto s = r.close_section(); !s.ok) return s;
+  persist::section(r, persist::tag4("ORCL"), [&] {
+    if (oracle) r(*oracle);
+  });
+  if (!r.ok()) return r.status();
 
   if (stage == Stage::kTimeline) {
     // The adversary's streams were restored above; reinstall the runtime
@@ -1020,12 +1025,12 @@ persist::Status JobRunner::Impl::load(persist::Reader& r, bool delta) {
     // Reinstall the behavior policy for the restored round WITHOUT
     // republishing: the restored snapshots already contain whatever each
     // host (lying or honest) last published. A cursor of 0 means no
-    // boundary has been processed yet — behaviors stay empty. The probe's
+    // boundary has been processed yet — behaviors stay empty. The oracle's
     // adversarial set is runtime configuration, reinstalled like the
     // delivery filter.
     if (t > 0) refresh_behaviors(/*live=*/false, t - 1);
-    if (probe && !sc.byzantine.empty()) {
-      probe->set_adversarial(adv->byz_union);
+    if (oracle && !sc.byzantine.empty()) {
+      oracle->set_adversarial(adv->byz_union);
     }
   }
   return {};
@@ -1044,8 +1049,9 @@ persist::Status JobRunner::restore_delta(persist::Reader& r) {
 }
 
 JobResult run_job(const Scenario& sc, const JobSpec& spec,
-                  std::size_t engine_workers, JobProbe* probe) {
-  JobRunner runner(sc, spec, engine_workers, probe);
+                  std::size_t engine_workers,
+                  std::optional<verify::OracleConfig> oracle) {
+  JobRunner runner(sc, spec, engine_workers, oracle);
   runner.run();
   return runner.result();
 }
@@ -1192,12 +1198,7 @@ CampaignReport run_campaign(const Scenario& sc, const RunOptions& opts) {
     }
     std::optional<obs::FlightRecorder> flight;
     if (flight_on) flight.emplace();
-    std::unique_ptr<JobProbe> probe =
-        opts.probe ? opts.probe(jobs[i]) : nullptr;
-    // The probe gets its sink before attach (the JobRunner ctor), so oracle
-    // verdicts are narrated from the first timeline round on.
-    if (probe && flight) probe->set_flight(&*flight);
-    JobRunner runner(sc, jobs[i], opts.engine_workers, probe.get());
+    JobRunner runner(sc, jobs[i], opts.engine_workers, opts.oracle);
     if (states[i].state == JobCheckpoint::State::kInProgress) {
       persist::Reader r(states[i].snapshot);
       auto s = r.expect_header(persist::BlobKind::kJob);
@@ -1216,7 +1217,9 @@ CampaignReport run_campaign(const Scenario& sc, const RunOptions& opts) {
       }
     }
     // After restore: the flight observer's transition cache must seed from
-    // the restored state, and the profiler is process configuration.
+    // the restored state, and the profiler is process configuration. The
+    // oracle's attach-time check of the initial configuration ran in the
+    // constructor, before the sink was set, and is not narrated.
     if (flight) runner.set_flight(&*flight);
     sim::RoundProfile prof;
     if (opts.profile) runner.set_profiler(&prof);

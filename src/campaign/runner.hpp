@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "campaign/scenario.hpp"
 #include "core/network.hpp"
 #include "persist/io.hpp"
+#include "verify/oracle.hpp"
 
 namespace chs::obs {
 class FlightRecorder;
@@ -40,65 +42,6 @@ namespace chs::campaign {
 /// deterministic job-index order: family-major, then host count, then seed.
 std::vector<JobSpec> expand_jobs(const Scenario& sc);
 
-/// Per-job verification hook. A probe is created per job (ProbeFactory),
-/// attached to the engine right after construction — before the setup
-/// phase, so stabilization itself is observed — polled between rounds, and
-/// given the JobResult to annotate when the job ends. `failed()` == true
-/// aborts the job early (the oracle's hard-failure mode). Probes must be
-/// read-only observers of the engine: they run on the job's thread and must
-/// not perturb the simulation, or the D7 determinism rule breaks.
-/// Probe-side adversary counters the runner samples at Byzantine-window
-/// boundaries (per-window containment in ByzWindowOutcome).
-struct AdversaryStats {
-  std::uint64_t contained = 0;  // adversary-induced violations so far
-  std::uint64_t real = 0;       // unexcused (hard-fail) violations so far
-};
-
-class JobProbe {
- public:
-  virtual ~JobProbe() = default;
-  virtual void attach(core::StabEngine& eng) = 0;
-  virtual bool failed() const = 0;
-  virtual void finish(JobResult& out) = 0;
-
-  /// Adversary awareness (DESIGN.md D11): the runner declares the current
-  /// Byzantine host set whenever it changes (window boundaries, and again
-  /// after restore — the set is runtime configuration, never serialized).
-  /// Probes without blame attribution ignore it.
-  virtual void set_adversarial(const std::vector<graph::NodeId>& ids) {
-    (void)ids;
-  }
-  virtual AdversaryStats adversary_stats() const { return {}; }
-
-  /// Flight recorder sink (DESIGN.md D12): when the campaign arms one for
-  /// this job, probes that can narrate — e.g. the oracle, emitting violation
-  /// events with blame — receive it here before attach(). The pointer
-  /// outlives the probe; diagnostic only, never serialized. Default: ignore.
-  virtual void set_flight(obs::FlightRecorder* flight) { (void)flight; }
-
-  /// Checkpoint/resume (DESIGN.md D9): a probe with internal incremental
-  /// state serializes it here so a resumed job reports the same probe
-  /// verdict and counters as the uninterrupted run. The writes land inside
-  /// a section JobRunner::checkpoint owns; stateless probes keep the
-  /// default no-ops. restore() runs after attach() and after the engine
-  /// state is restored, on a freshly constructed probe.
-  virtual void checkpoint(persist::Writer& w) const { (void)w; }
-  virtual persist::Status restore(persist::Reader& r) {
-    (void)r;
-    return {};
-  }
-
-  /// The runner owning this probe is going away — drop every reference
-  /// into its engine NOW (the engine dies with the runner). Invoked by
-  /// ~JobRunner for jobs abandoned mid-run (a campaign halt, a minimizer
-  /// time-travel capture); must be idempotent with finish().
-  virtual void abandon() {}
-};
-
-/// Factory invoked once per job, on the job's thread, before the engine is
-/// built. May return nullptr to leave a job unprobed.
-using ProbeFactory = std::function<std::unique_ptr<JobProbe>(const JobSpec&)>;
-
 /// One job as a resumable state machine (DESIGN.md D9): build the initial
 /// configuration, optionally stabilize (StartMode::kConverged), then drive
 /// the timeline — applying round-indexed events and maintaining the
@@ -107,15 +50,23 @@ using ProbeFactory = std::function<std::unique_ptr<JobProbe>(const JobSpec&)>;
 /// is the one-shot wrapper; this class exists so the campaign runner can
 /// snapshot a job mid-flight and the minimizer can time-travel into one.
 ///
+/// With `oracle` set, the runner arms a verify::InvariantOracle (DESIGN.md
+/// D8) on the job's engine right after construction — before the setup
+/// phase, so stabilization itself is checked — tells it the Byzantine host
+/// set (D11), and writes its verdict and counters into the JobResult's
+/// oracle_* fields. A hard-failing oracle ends the job at its next round
+/// boundary. The oracle only observes: the D7 determinism rule holds.
+///
 /// checkpoint() serializes the engine blob plus the loop state (stage,
-/// timeline cursor, adversary RNG streams, partial JobResult, probe state);
+/// timeline cursor, adversary RNG streams, partial JobResult, oracle state);
 /// restore() expects a freshly constructed runner with the same scenario,
-/// spec, and probe configuration, and resumes bit-for-bit: the finished
+/// spec, and oracle configuration, and resumes bit-for-bit: the finished
 /// job's result is byte-identical to the uninterrupted run's.
 class JobRunner {
  public:
   JobRunner(const Scenario& sc, const JobSpec& spec,
-            std::size_t engine_workers = 1, JobProbe* probe = nullptr);
+            std::size_t engine_workers = 1,
+            std::optional<verify::OracleConfig> oracle = std::nullopt);
   ~JobRunner();
   JobRunner(const JobRunner&) = delete;
   JobRunner& operator=(const JobRunner&) = delete;
@@ -136,16 +87,18 @@ class JobRunner {
   /// Timeline rounds begun (0 during setup).
   std::uint64_t timeline_round() const;
 
-  /// Final result; valid once finished() (detaches/annotates the probe).
+  /// Final result; valid once finished() (detaches the oracle and writes
+  /// its verdict).
   JobResult result();
 
   /// Arm the flight recorder (DESIGN.md D12): the runner narrates timeline
   /// events, wipes, Byzantine-window boundaries, and job stage changes into
   /// `flight`, and chains a round observer that records per-host protocol
-  /// phase / merge-stage transitions. Call after restore() (the transition
-  /// cache syncs from current engine state); pass nullptr to leave the job
-  /// silent. Diagnostic only — arming never changes simulation or report
-  /// bytes, and the ring is not checkpointed.
+  /// phase / merge-stage transitions; the oracle narrates its violations
+  /// there too. Call after restore() (the transition cache syncs from
+  /// current engine state); pass nullptr to leave the job silent.
+  /// Diagnostic only — arming never changes simulation or report bytes,
+  /// and the ring is not checkpointed.
   void set_flight(obs::FlightRecorder* flight);
 
   /// Arm wall-clock phase profiling: forwards to Engine::set_profiler.
@@ -173,12 +126,14 @@ class JobRunner {
 
 /// Execute one job start to finish. Exactly JobRunner{...}.run() + result().
 JobResult run_job(const Scenario& sc, const JobSpec& spec,
-                  std::size_t engine_workers = 1, JobProbe* probe = nullptr);
+                  std::size_t engine_workers = 1,
+                  std::optional<verify::OracleConfig> oracle = std::nullopt);
 
 struct RunOptions {
   std::size_t jobs = 1;            // parallel job-runner threads
   std::size_t engine_workers = 1;  // Engine::set_worker_threads per job
-  ProbeFactory probe;              // optional per-job verification probe
+  /// Arms the invariant oracle on every job (JobRunner's `oracle`).
+  std::optional<verify::OracleConfig> oracle;
 
   // --- checkpoint/resume (DESIGN.md D9) ---
   /// When set, the campaign maintains a checkpoint file at this path:

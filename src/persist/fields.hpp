@@ -474,6 +474,7 @@ void persist_fields(A& a, JobResult& v) {
   a(v.oracle_violation);
   a(v.oracle_round);
   a(v.oracle_rounds_checked);
+  a(v.oracle_paths);
   a(v.adversary_armed);
   a(v.correct_converged);
   a(v.contained_violations);

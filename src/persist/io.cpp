@@ -70,7 +70,7 @@ const char* tag_note(const std::string& name) {
   if (name == "WKLD") return "serving workload driver";
   if (name == "KVDP") return "embedded KV data-plane blob";
   if (name == "ENGB") return "embedded engine blob (full or delta)";
-  if (name == "PROB") return "probe state";
+  if (name == "ORCL") return "invariant oracle state";
   if (name == "SCEN") return "scenario text";
   if (name == "JOB ") return "per-job checkpoint slot";
   // fuzzer

@@ -108,7 +108,10 @@ const char* blob_kind_name(BlobKind k);
 // zip-edge ref-count maps, HostState an unused fault counter, and the
 // stabilizer Message variant the zip-retirement pair and a never-sent
 // self-hold, which renumbers every alternative after MZipDone.
-inline constexpr std::uint32_t kFormatVersion = 9;
+// v10: the campaign runner owns its invariant oracle (DESIGN.md D8) — the
+// job blob's probe section becomes ORCL (the oracle's state, no arming
+// flag) and JobResult persists the oracle's path bits.
+inline constexpr std::uint32_t kFormatVersion = 10;
 
 /// Section tag from a 4-char mnemonic: tag4("ENGN").
 constexpr std::uint32_t tag4(const char (&s)[5]) {

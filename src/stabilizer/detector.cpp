@@ -97,6 +97,8 @@ bool Protocol::check_local(Ctx& ctx) const {
   // --- 3. Neighbor consistency --------------------------------------------
   const bool merge_window =
       st.merge.stage != MergeStage::kNone || now < st.recent_until;
+  // cluster_ok and check_structural record their own fault line, so their
+  // callers return false rather than overwrite it with an outer line.
   const auto cluster_ok = [&](const auto& v) {
     if (v.cluster == st.cluster) return true;
     if (st.merge.stage != MergeStage::kNone &&
@@ -125,7 +127,7 @@ bool Protocol::check_local(Ctx& ctx) const {
       if (!ctx.is_neighbor(host)) CHS_FAULT();
       ref = ctx.view(host);
       if (!ref) CHS_FAULT();
-      if (!cluster_ok(*ref)) CHS_FAULT();
+      if (!cluster_ok(*ref)) return false;
     }
     if (!merge_window && (pos < ref->lo || pos >= ref->hi)) CHS_FAULT();
     if (repeat) return true;
@@ -143,7 +145,7 @@ bool Protocol::check_local(Ctx& ctx) const {
     return true;
   };
   for (const auto& [pos, host] : st.boundary_host) {
-    if (!check_structural(pos, host)) CHS_FAULT();
+    if (!check_structural(pos, host)) return false;
   }
   // parent_host is keyed by my entry position; the *parent* position must
   // lie in the neighbor's range. Check 1 matched its keys to the fragments
@@ -151,12 +153,13 @@ bool Protocol::check_local(Ctx& ctx) const {
   auto ph = st.parent_host.begin();
   for (const auto& f : st.frags) {
     if (!f.parent_pos) continue;  // the guest root has no parent entry
-    if (!check_structural(*f.parent_pos, (ph++)->second)) CHS_FAULT();
+    if (!check_structural(*f.parent_pos, (ph++)->second)) return false;
   }
   if (st.succ != kNone) {
     if (!ctx.is_neighbor(st.succ)) CHS_FAULT();
     const auto v = ctx.view(st.succ);
-    if (!v || !cluster_ok(*v)) CHS_FAULT();
+    if (!v) CHS_FAULT();
+    if (!cluster_ok(*v)) return false;
     if (!merge_window && v->id != st.hi) CHS_FAULT();  // ranges must tile
     // Ring reciprocity: my successor's pred pointer names me (same
     // stale-membership argument as the structural-map check above).
@@ -165,7 +168,8 @@ bool Protocol::check_local(Ctx& ctx) const {
   if (st.pred != kNone) {
     if (!ctx.is_neighbor(st.pred)) CHS_FAULT();
     const auto v = ctx.view(st.pred);
-    if (!v || !cluster_ok(*v)) CHS_FAULT();
+    if (!v) CHS_FAULT();
+    if (!cluster_ok(*v)) return false;
     if (!merge_window && v->hi != st.lo) CHS_FAULT();
     if (!merge_window && v->succ != st.id) CHS_FAULT();
   }
@@ -177,7 +181,7 @@ bool Protocol::check_local(Ctx& ctx) const {
   if (st.phase != Phase::kCbt) {
     for (std::size_t k = 0; k < ctx.neighbors().size(); ++k) {
       const auto view = ctx.view_at(k);
-      if (!cluster_ok(*view)) CHS_FAULT();
+      if (!cluster_ok(*view)) return false;
       if (view->phase == st.phase) continue;
       const bool wave_explains = st.in_phase_wave || st.in_done_wave ||
                                  view->in_phase_wave || view->in_done_wave;

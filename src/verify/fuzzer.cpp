@@ -85,13 +85,6 @@ std::uint32_t invariant_index(const std::string& what) {
   return 0;
 }
 
-/// Per-job coverage side channel: filled on the job's thread (probe finish
-/// + flight sink), merged by the sequential fuzz loop in job-index order.
-struct JobCoverage {
-  std::uint32_t oracle_paths = 0;
-  std::vector<Feature> flight;
-};
-
 void flight_features(const obs::FlightRecorder& fl,
                      std::vector<Feature>& out) {
   for (const obs::FlightEvent& e : fl.events()) {
@@ -115,8 +108,10 @@ void flight_features(const obs::FlightRecorder& fl,
   }
 }
 
-/// Reduce one finished job to its coverage classes (header block map).
-std::vector<Feature> job_features(const JobResult& r, const JobCoverage& jc) {
+/// Reduce one finished job, and the features its flight ring yielded, to its
+/// coverage classes (header block map).
+std::vector<Feature> job_features(const JobResult& r,
+                                  const std::vector<Feature>& flight) {
   std::vector<Feature> f;
   f.push_back(r.setup_converged ? 0x0011u : 0x0012u);
   f.push_back(r.converged ? 0x0013u : 0x0014u);
@@ -133,7 +128,7 @@ std::vector<Feature> job_features(const JobResult& r, const JobCoverage& jc) {
   }
   if (r.contained_violations > 0) f.push_back(0x0120u);
   for (std::uint32_t b = 0; b < 16; ++b) {
-    if (jc.oracle_paths & (1u << b)) {
+    if (r.oracle_paths & (1u << b)) {
       f.push_back(0x0140u | b);
       // Bits 0-5 are the oracle's check machinery (attach-full,
       // dirty-recheck, delta-endpoints, deletion-rebuild, stride-defer,
@@ -167,26 +162,11 @@ std::vector<Feature> job_features(const JobResult& r, const JobCoverage& jc) {
     f.push_back(0x0220u | log2_bucket(r.wl_p99));
     f.push_back(0x0230u | log2_bucket(r.wl_peak_inflight));
   }
-  f.insert(f.end(), jc.flight.begin(), jc.flight.end());
+  f.insert(f.end(), flight.begin(), flight.end());
   std::sort(f.begin(), f.end());
   f.erase(std::unique(f.begin(), f.end()), f.end());
   return f;
 }
-
-/// OracleProbe that additionally drains the oracle's code-path bitmask into
-/// the fuzz loop's per-job coverage slot when the job finishes.
-class CoverageProbe final : public OracleProbe {
- public:
-  CoverageProbe(OracleConfig cfg, JobCoverage* slot)
-      : OracleProbe(cfg), slot_(slot) {}
-  void finish(campaign::JobResult& out) override {
-    OracleProbe::finish(out);
-    if (oracle()) slot_->oracle_paths = oracle()->paths();
-  }
-
- private:
-  JobCoverage* slot_;
-};
 
 // --- structural mutation operators (DESIGN.md D14) -------------------------
 
@@ -738,7 +718,7 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
     } else {
       sc = generate_scenario(i, rng);
     }
-    // Probe-stride schedule (guided only): the coverage search also varies
+    // Oracle-stride schedule (guided only): the coverage search also varies
     // the oracle's evaluation stride, exercising the stride-defer and
     // detach-flush check classes a fixed-config run never reaches. Drawn
     // *after* every scenario draw, so a guided generated case i is the
@@ -751,18 +731,17 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
     }
 
     const auto jobs = campaign::expand_jobs(sc);
-    std::vector<JobCoverage> slots(jobs.size());
+    // Per-job flight features: filled on the job's thread by the sink,
+    // merged below in job-index order.
+    std::vector<std::vector<Feature>> flight(jobs.size());
     campaign::RunOptions ro;
     ro.jobs = opt.jobs;
     ro.engine_workers = opt.engine_workers;
-    OracleConfig ocfg = opt.oracle;
-    ocfg.stride = stride;
-    ro.probe = [&slots, ocfg](const campaign::JobSpec& js) {
-      return std::make_unique<CoverageProbe>(ocfg, &slots[js.index]);
-    };
-    ro.flight_sink = [&slots](const JobResult& r,
-                              const obs::FlightRecorder& fl) {
-      flight_features(fl, slots[r.spec.index].flight);
+    ro.oracle = opt.oracle;
+    ro.oracle->stride = stride;
+    ro.flight_sink = [&flight](const JobResult& r,
+                               const obs::FlightRecorder& fl) {
+      flight_features(fl, flight[r.spec.index]);
     };
     const campaign::CampaignReport report = campaign::run_campaign(sc, ro);
 
@@ -775,8 +754,8 @@ FuzzReport run_fuzz(const FuzzOptions& opt) {
     // Coverage merge in job-index order — deterministic at any --jobs.
     std::uint64_t fresh = 0;
     for (std::size_t j = 0; j < report.results.size(); ++j) {
-      rep.oracle_paths |= slots[j].oracle_paths;
-      for (Feature f : job_features(report.results[j], slots[j])) {
+      rep.oracle_paths |= report.results[j].oracle_paths;
+      for (Feature f : job_features(report.results[j], flight[j])) {
         if (seen.insert(f).second) ++fresh;
       }
     }

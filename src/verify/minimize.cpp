@@ -96,8 +96,7 @@ bool reproduces(const Scenario& sc, const FailureSignature& sig,
   CHS_CHECK_MSG(sc.validate().empty(), "candidate failed validation");
   const auto jobs = campaign::expand_jobs(sc);
   CHS_CHECK_MSG(jobs.size() == 1, "reproduces() wants a single-job scenario");
-  OracleProbe probe(opt.oracle);
-  JobResult r = campaign::run_job(sc, jobs[0], opt.engine_workers, &probe);
+  JobResult r = campaign::run_job(sc, jobs[0], opt.engine_workers, opt.oracle);
   FailureSignature got;
   const bool failed = job_failed(r, &got);
   if (out) *out = std::move(r);
@@ -150,9 +149,8 @@ MinimizeResult minimize(const Scenario& sc0, const campaign::JobSpec& spec,
     const std::uint64_t target =
         fail_round > opt.window ? fail_round - opt.window : 0;
     const auto jobs = campaign::expand_jobs(res.scenario);
-    OracleProbe probe(opt.oracle);
     campaign::JobRunner runner(res.scenario, jobs[0], opt.engine_workers,
-                               &probe);
+                               opt.oracle);
     TimeTravel cap;
     bool captured = false;
     runner.run([&](campaign::JobRunner& jr) {
@@ -223,8 +221,7 @@ MinimizeResult minimize(const Scenario& sc0, const campaign::JobSpec& spec,
                                        JobResult* out) {
     const auto jobs = campaign::expand_jobs(cand);
     CHS_CHECK(jobs.size() == 1);
-    OracleProbe probe(opt.oracle);
-    campaign::JobRunner runner(cand, jobs[0], opt.engine_workers, &probe);
+    campaign::JobRunner runner(cand, jobs[0], opt.engine_workers, opt.oracle);
     persist::Reader r(tt->snapshot);
     auto s = r.expect_header(persist::BlobKind::kJob);
     if (s.ok) s = runner.restore(r);

@@ -13,6 +13,12 @@ namespace chs::verify {
 using graph::NodeId;
 using graph::NodeIndex;
 
+namespace {
+/// Hosts a captured hard-fail trace shows: the focus host and its first
+/// neighbors, or the first hosts by id for I1.
+constexpr std::size_t kTraceHosts = 8;
+}  // namespace
+
 InvariantOracle::InvariantOracle(core::StabEngine& eng, OracleConfig cfg)
     : eng_(&eng), cfg_(cfg) {
   CHS_CHECK(cfg_.stride >= 1);
@@ -175,17 +181,17 @@ std::string InvariantOracle::capture_trace(NodeId focus) const {
   std::ostringstream out;
   out << "round " << eng_->round() << ": " << g.size() << " hosts, "
       << g.num_edges() << " edges\n";
-  // The violating host first, then its neighborhood, capped at trace_hosts.
+  // The violating host first, then its neighborhood, capped at kTraceHosts.
   std::vector<NodeId> hosts;
   if (focus != stabilizer::kNone && g.contains(focus)) {
     hosts.push_back(focus);
     for (NodeId nb : g.neighbors(focus)) {
-      if (hosts.size() >= cfg_.trace_hosts) break;
+      if (hosts.size() >= kTraceHosts) break;
       hosts.push_back(nb);
     }
   } else {
     for (NodeId id : g.ids()) {
-      if (hosts.size() >= cfg_.trace_hosts) break;
+      if (hosts.size() >= kTraceHosts) break;
       hosts.push_back(id);
     }
   }
@@ -208,28 +214,6 @@ std::string InvariantOracle::capture_trace(NodeId focus) const {
     out << "\n";
   }
   return out.str();
-}
-
-void OracleProbe::finish(campaign::JobResult& out) {
-  out.oracle_armed = true;
-  if (oracle_) {
-    // Detach before reading the verdict: the detach flushes the final
-    // partial stride window, which can itself surface the violation. (It
-    // must happen here regardless — the engine dies with the job frame.)
-    oracle_->detach();
-    out.oracle_rounds_checked = oracle_->rounds_checked();
-    out.contained_violations = oracle_->contained_violations();
-    if (oracle_->violation()) {
-      out.oracle_violation = oracle_->violation()->what;
-      out.oracle_round = oracle_->violation()->round;
-    }
-  }
-}
-
-campaign::ProbeFactory oracle_probe_factory(OracleConfig cfg) {
-  return [cfg](const campaign::JobSpec&) {
-    return std::make_unique<OracleProbe>(cfg);
-  };
 }
 
 }  // namespace chs::verify

@@ -21,8 +21,8 @@
 // state at the sampled round (violations that appear *and* heal strictly
 // between samples are not observed). In the hard-failure mode the first
 // violation also captures a trace of the offending round — the violating
-// host, its neighborhood state, and the incident edges — and, through
-// OracleProbe, aborts the campaign job that armed it.
+// host, its neighborhood state, and the incident edges — and aborts the
+// campaign job that armed it (campaign::RunOptions::oracle).
 //
 // Attaching runs one full check (all hosts + connectivity) so the
 // incremental scheme starts from a verified base. The oracle is a
@@ -38,9 +38,12 @@
 #include <string>
 #include <vector>
 
-#include "campaign/runner.hpp"
 #include "core/invariants.hpp"
 #include "core/network.hpp"
+
+namespace chs::obs {
+class FlightRecorder;
+}
 
 namespace chs::verify {
 
@@ -48,11 +51,9 @@ struct OracleConfig {
   /// Evaluate every stride-th observed round (1 = every round).
   std::uint64_t stride = 1;
   /// Capture the offending round's trace and report failure upward
-  /// (OracleProbe::failed aborts the job). When false the oracle records
-  /// the first violation and goes dormant, letting the run complete.
+  /// (hard_failed() aborts the job). When false the oracle records the
+  /// first violation and goes dormant, letting the run complete.
   bool hard_fail = true;
-  /// Context hosts included in a captured trace.
-  std::size_t trace_hosts = 8;
 };
 
 struct Violation {
@@ -86,6 +87,8 @@ class InvariantOracle {
 
   /// First violation observed, if any.
   const std::optional<Violation>& violation() const { return violation_; }
+  /// A violation was recorded in hard_fail mode: the armed job aborts.
+  bool hard_failed() const { return cfg_.hard_fail && violation_; }
 
   /// Blame attribution (DESIGN.md D11): declare which hosts are currently
   /// adversarial. A violation whose focus host is adversarial — or is a
@@ -182,79 +185,5 @@ class InvariantOracle {
   std::vector<graph::NodeId> adversarial_;  // sorted; reinstalled, not saved
   obs::FlightRecorder* flight_ = nullptr;   // diagnostic sink, not saved
 };
-
-/// campaign::JobProbe adapter: arms an InvariantOracle on each job's engine
-/// for its whole lifetime (setup phase included) and annotates the
-/// JobResult's oracle_* fields. With hard_fail the first violation aborts
-/// the job. One probe serves one job; run_campaign's ProbeFactory makes one
-/// per job:
-///
-///   campaign::RunOptions opts;
-///   opts.probe = verify::oracle_probe_factory(cfg);
-///
-/// Subclassable: the guided fuzzer's CoverageProbe extends finish() to drain
-/// the oracle's code-path bitmask into its coverage slot.
-class OracleProbe : public campaign::JobProbe {
- public:
-  explicit OracleProbe(OracleConfig cfg = {}) : cfg_(cfg) {}
-
-  void attach(core::StabEngine& eng) override {
-    oracle_.emplace(eng, cfg_);
-    // (Violations in the attach-time full check predate the sink; the
-    // campaign wires flight before the runner — and thus the oracle — is
-    // built, so in practice only a corrupt *initial* state is unnarrated.)
-    if (flight_) oracle_->set_flight(flight_);
-  }
-  bool failed() const override {
-    return cfg_.hard_fail && oracle_ && oracle_->violation().has_value();
-  }
-  void finish(campaign::JobResult& out) override;
-
-  void set_adversarial(const std::vector<graph::NodeId>& ids) override {
-    if (oracle_) oracle_->set_adversarial(ids);
-  }
-  campaign::AdversaryStats adversary_stats() const override {
-    return {oracle_ ? oracle_->contained_violations() : 0,
-            oracle_ && oracle_->violation() ? std::uint64_t{1}
-                                            : std::uint64_t{0}};
-  }
-
-  void set_flight(obs::FlightRecorder* flight) override {
-    flight_ = flight;
-    if (oracle_) oracle_->set_flight(flight);
-  }
-
-  void abandon() override {
-    // Uninstall the engine observer while the engine still exists; the
-    // verdict (and a detach-time stride flush) is kept. Idempotent — a
-    // second detach, or one after finish(), is a no-op.
-    if (oracle_) oracle_->detach();
-  }
-
-  void checkpoint(persist::Writer& w) const override {
-    const bool armed = oracle_.has_value();
-    w(armed);
-    if (armed) w(*oracle_);
-  }
-  persist::Status restore(persist::Reader& r) override {
-    bool armed = false;
-    r(armed);
-    if (armed != oracle_.has_value()) {
-      return persist::Status::failure("oracle arming state mismatch");
-    }
-    if (armed) r(*oracle_);
-    return r.status();
-  }
-
-  const std::optional<InvariantOracle>& oracle() const { return oracle_; }
-
- private:
-  OracleConfig cfg_;
-  std::optional<InvariantOracle> oracle_;
-  obs::FlightRecorder* flight_ = nullptr;
-};
-
-/// ProbeFactory arming every job of a campaign with the given config.
-campaign::ProbeFactory oracle_probe_factory(OracleConfig cfg = {});
 
 }  // namespace chs::verify

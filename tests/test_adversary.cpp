@@ -247,8 +247,7 @@ void composition_battery(const Scenario& sc, std::uint64_t snap_at,
   const verify::OracleConfig cfg{.hard_fail = false};
 
   std::vector<std::uint8_t> snapshot;
-  verify::OracleProbe p0(cfg);
-  campaign::JobRunner donor(sc, jobs[0], 1, &p0);
+  campaign::JobRunner donor(sc, jobs[0], 1, cfg);
   donor.run([&](campaign::JobRunner& jr) {
     if (snapshot.empty() && jr.in_timeline() &&
         jr.timeline_round() == snap_at) {
@@ -269,15 +268,13 @@ void composition_battery(const Scenario& sc, std::uint64_t snap_at,
   }
 
   for (const std::size_t workers : {2u, 8u}) {
-    verify::OracleProbe p(cfg);
-    campaign::JobRunner wide(sc, jobs[0], workers, &p);
+    campaign::JobRunner wide(sc, jobs[0], workers, cfg);
     wide.run();
     EXPECT_EQ(result_bytes(wide.result()), want)
         << sc.name << " diverged at workers=" << workers;
   }
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    verify::OracleProbe p(cfg);
-    campaign::JobRunner resumed(sc, jobs[0], workers, &p);
+    campaign::JobRunner resumed(sc, jobs[0], workers, cfg);
     persist::Reader r(snapshot);
     ASSERT_TRUE(r.expect_header(persist::BlobKind::kJob).ok);
     ASSERT_TRUE(resumed.restore(r).ok);
@@ -333,7 +330,7 @@ TEST(AdversaryReport, WindowsAndContainmentSurfaceInJson) {
   Scenario sc = base_scenario("report");
   sc.byz(0, 40, 0.2, BehaviorKind::kLiar);
   campaign::RunOptions opts;
-  opts.probe = verify::oracle_probe_factory({.hard_fail = false});
+  opts.oracle = verify::OracleConfig{.hard_fail = false};
   const auto rep = campaign::run_campaign(sc, opts);
   ASSERT_EQ(rep.results.size(), 1u);
   const auto& r = rep.results[0];
@@ -378,8 +375,7 @@ TEST(AdversaryAcceptance, TenPercentLiarsOnThousandHostLollipop) {
   const verify::OracleConfig cfg{.hard_fail = false};
 
   std::vector<std::uint8_t> snapshot;
-  verify::OracleProbe p0(cfg);
-  campaign::JobRunner donor(sc, jobs[0], 1, &p0);
+  campaign::JobRunner donor(sc, jobs[0], 1, cfg);
   donor.run([&](campaign::JobRunner& jr) {
     if (snapshot.empty() && jr.in_timeline() && jr.timeline_round() == 10) {
       persist::Writer w(persist::BlobKind::kJob);
@@ -402,14 +398,12 @@ TEST(AdversaryAcceptance, TenPercentLiarsOnThousandHostLollipop) {
   EXPECT_GE(base.byz_windows[0].hosts.size(), 100u);  // >= 10% of 1000
 
   for (const std::size_t workers : {2u, 8u}) {
-    verify::OracleProbe p(cfg);
-    campaign::JobRunner wide(sc, jobs[0], workers, &p);
+    campaign::JobRunner wide(sc, jobs[0], workers, cfg);
     wide.run();
     EXPECT_EQ(result_bytes(wide.result()), want)
         << "diverged at workers=" << workers;
   }
-  verify::OracleProbe p1(cfg);
-  campaign::JobRunner resumed(sc, jobs[0], 1, &p1);
+  campaign::JobRunner resumed(sc, jobs[0], 1, cfg);
   persist::Reader r(snapshot);
   ASSERT_TRUE(r.expect_header(persist::BlobKind::kJob).ok);
   ASSERT_TRUE(resumed.restore(r).ok);

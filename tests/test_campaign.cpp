@@ -408,9 +408,9 @@ TEST(RunJob, BuilderEventsOutOfOrderStillApplyInRoundOrder) {
 
 bool same_result(const campaign::JobResult& a, const campaign::JobResult& b);
 
-campaign::JobResult run_probed(const Scenario& sc, std::size_t workers) {
-  verify::OracleProbe probe;
-  return campaign::run_job(sc, campaign::expand_jobs(sc)[0], workers, &probe);
+campaign::JobResult run_with_oracle(const Scenario& sc, std::size_t workers) {
+  return campaign::run_job(sc, campaign::expand_jobs(sc)[0], workers,
+                           verify::OracleConfig{});
 }
 
 TEST(FaultComposition, LossWindowOverlappingChurnBurstStaysOracleClean) {
@@ -419,13 +419,13 @@ TEST(FaultComposition, LossWindowOverlappingChurnBurstStaysOracleClean) {
   // The churn burst lands inside a lossy window: re-attachment and the
   // detector resets must survive 40% message loss.
   sc.loss(0, 200, 0.4).churn_at(50, 3);
-  const auto base = run_probed(sc, 1);
+  const auto base = run_with_oracle(sc, 1);
   EXPECT_TRUE(base.oracle_armed);
   EXPECT_EQ(base.oracle_violation, "") << "@ round " << base.oracle_round;
   EXPECT_TRUE(base.converged);
   EXPECT_GT(base.messages_dropped, 0u);
   for (std::size_t workers : {2u, 8u}) {
-    const auto wide = run_probed(sc, workers);
+    const auto wide = run_with_oracle(sc, workers);
     EXPECT_TRUE(same_result(base, wide)) << "workers=" << workers;
     EXPECT_EQ(wide.oracle_violation, "");
     EXPECT_EQ(wide.oracle_rounds_checked, base.oracle_rounds_checked);
@@ -438,7 +438,7 @@ TEST(FaultComposition, PartitionSpanningRetargetStaysOracleClean) {
   // The retarget fires while the network is bipartitioned: both halves
   // rebuild toward the new target with cross-traffic cut, then heal.
   sc.partition(0, 150).retarget_at(60, "hypercube");
-  const auto base = run_probed(sc, 1);
+  const auto base = run_with_oracle(sc, 1);
   EXPECT_TRUE(base.oracle_armed);
   EXPECT_EQ(base.oracle_violation, "") << "@ round " << base.oracle_round;
   EXPECT_TRUE(base.converged);
@@ -446,7 +446,7 @@ TEST(FaultComposition, PartitionSpanningRetargetStaysOracleClean) {
   ASSERT_EQ(base.events.size(), 1u);
   EXPECT_TRUE(base.events[0].recovered);
   for (std::size_t workers : {2u, 8u}) {
-    const auto wide = run_probed(sc, workers);
+    const auto wide = run_with_oracle(sc, workers);
     EXPECT_TRUE(same_result(base, wide)) << "workers=" << workers;
     EXPECT_EQ(wide.oracle_violation, "");
   }

@@ -171,6 +171,49 @@ TEST(Detector, RepeatedReferenceHostIsRangeCheckedAtEachPosition) {
   EXPECT_EQ(eng->state(victim).resets, 1u);
 }
 
+TEST(Detector, CheckThreeFailuresKeepTheirOwnFaultLine) {
+  // HostState::fault_line names the check that fired. A boundary reference
+  // to a non-neighbor fails in check_structural, a boundary host in another
+  // cluster fails in cluster_ok; the outer loop must not overwrite either
+  // line with its own.
+  const auto reset_line = [](auto corrupt) {
+    auto eng = legal_cbt_engine(64, 16, Phase::kCbt);
+    NodeId victim = stabilizer::kNone;
+    for (NodeId id : eng->graph().ids()) {
+      if (!eng->state(id).boundary_host.empty()) {
+        victim = id;
+        break;
+      }
+    }
+    EXPECT_NE(victim, stabilizer::kNone);
+    if (victim == stabilizer::kNone) return 0;
+    corrupt(*eng, victim);
+    eng->republish();
+    eng->step_round();
+    EXPECT_EQ(eng->state(victim).resets, 1u);
+    return eng->state(victim).fault_line;
+  };
+  const int non_neighbor = reset_line([](StabEngine& eng, NodeId victim) {
+    const auto& nbrs = eng.graph().neighbors(victim);
+    for (NodeId id : eng.graph().ids()) {
+      if (id != victim &&
+          std::find(nbrs.begin(), nbrs.end(), id) == nbrs.end()) {
+        eng.state_mut(victim).boundary_host.begin()->second = id;
+        return;
+      }
+    }
+    FAIL() << "every host neighbors the victim";
+  });
+  const int cluster_mismatch = reset_line([](StabEngine& eng, NodeId victim) {
+    const NodeId peer = eng.state(victim).boundary_host.begin()->second;
+    auto& st = eng.state_mut(peer);
+    st.cluster = st.cluster == peer ? victim : peer;  // any other cluster
+  });
+  EXPECT_NE(non_neighbor, 0);
+  EXPECT_NE(cluster_mismatch, 0);
+  EXPECT_NE(non_neighbor, cluster_mismatch);
+}
+
 TEST(Detector, PhaseMixtureInfectsToCbt) {
   // Lemma 2: set half the hosts to CHORD with no wave in flight: the CBT
   // absorbing rule plus phase mismatch must drag everyone to CBT quickly.

@@ -87,8 +87,7 @@ void replay_cert_race(const std::string& scn, bool expect_drops) {
   ASSERT_TRUE(sc.has_value()) << error;
   const auto jobs = campaign::expand_jobs(*sc);
   ASSERT_EQ(jobs.size(), 1u);
-  verify::OracleProbe probe;
-  campaign::JobRunner jr(*sc, jobs[0], 1, &probe);
+  campaign::JobRunner jr(*sc, jobs[0], 1, verify::OracleConfig{});
   jr.run();
   const std::uint64_t drops = jr.engine().metrics().stale_cert_drops();
   const auto r = jr.result();
@@ -183,7 +182,7 @@ TEST(FuzzGuided, StrictlyMoreCheckClassesAndOraclePathsThanBlind) {
   const FuzzReport guided = verify::run_fuzz(opt);
   opt.guided = false;
   const FuzzReport blind = verify::run_fuzz(opt);
-  // The guided loop's corpus + probe-stride scheduling must exercise
+  // The guided loop's corpus + oracle-stride scheduling must exercise
   // strictly more invariant-check classes and oracle code paths than the
   // blind PR 4 loop at the same budget (acceptance criterion).
   EXPECT_GT(guided.invariant_classes, blind.invariant_classes);

@@ -239,8 +239,7 @@ TEST(ObsSeries, ByteIdenticalAcrossEngineWorkersWithFaultsActive) {
   const auto spec = campaign::expand_jobs(sc)[0];
   verify::OracleConfig ocfg;
   ocfg.hard_fail = false;
-  verify::OracleProbe p1(ocfg);
-  const auto base = campaign::run_job(sc, spec, 1, &p1);
+  const auto base = campaign::run_job(sc, spec, 1, ocfg);
   ASSERT_TRUE(base.converged);
   ASSERT_TRUE(base.series_armed);
   ASSERT_FALSE(base.series.empty());
@@ -254,8 +253,7 @@ TEST(ObsSeries, ByteIdenticalAcrossEngineWorkersWithFaultsActive) {
   EXPECT_GT(messages, 0u);
   EXPECT_GE(base.series_stride, 4u);  // effective stride, >= configured
   for (const std::size_t workers : {2u, 8u}) {
-    verify::OracleProbe pk(ocfg);
-    const auto wide = campaign::run_job(sc, spec, workers, &pk);
+    const auto wide = campaign::run_job(sc, spec, workers, ocfg);
     EXPECT_EQ(wide.series, base.series) << "workers=" << workers;
     EXPECT_EQ(wide.series_stride, base.series_stride);
   }
@@ -381,8 +379,7 @@ TEST(ObsSeries, MidWindowJobCheckpointResumesBitForBit) {
   verify::OracleConfig ocfg;
   ocfg.hard_fail = false;
 
-  verify::OracleProbe p0(ocfg);
-  campaign::JobRunner donor(sc, spec, 1, &p0);
+  campaign::JobRunner donor(sc, spec, 1, ocfg);
   std::vector<std::uint8_t> snapshot;
   donor.run([&](campaign::JobRunner& jr) {
     if (snapshot.empty() && jr.in_timeline() && jr.timeline_round() == 10) {
@@ -402,8 +399,7 @@ TEST(ObsSeries, MidWindowJobCheckpointResumesBitForBit) {
   EXPECT_TRUE(saw_open_window) << "the byz window never showed in the gauge";
 
   for (const std::size_t workers : {1u, 2u}) {
-    verify::OracleProbe pk(ocfg);
-    campaign::JobRunner resumed(sc, spec, workers, &pk);
+    campaign::JobRunner resumed(sc, spec, workers, ocfg);
     persist::Reader r(snapshot);
     ASSERT_TRUE(r.expect_header(persist::BlobKind::kJob).ok);
     ASSERT_TRUE(resumed.restore(r).ok);

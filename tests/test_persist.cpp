@@ -10,6 +10,7 @@
 // and stale blobs must fail loudly, never resume quietly wrong.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -472,7 +473,7 @@ TEST(JobCheckpoint, ResumeInsideLossAndPartitionWindowIsByteIdentical) {
   EXPECT_GT(check.result().messages_dropped, 0u);
 }
 
-TEST(JobCheckpoint, OracleProbeStateRoundTrips) {
+TEST(JobCheckpoint, OracleStateRoundTrips) {
   // A stride-8 oracle accumulates pending hosts across rounds; resuming
   // must preserve the stride phase and counters so oracle_* report fields
   // match the uninterrupted run exactly.
@@ -488,8 +489,7 @@ TEST(JobCheckpoint, OracleProbeStateRoundTrips) {
   const auto jobs = campaign::expand_jobs(sc);
   const verify::OracleConfig cfg{.stride = 8};
 
-  verify::OracleProbe p0(cfg);
-  campaign::JobRunner donor(sc, jobs[0], 1, &p0);
+  campaign::JobRunner donor(sc, jobs[0], 1, cfg);
   std::vector<std::uint8_t> snapshot;
   donor.run([&](campaign::JobRunner& jr) {
     if (snapshot.empty() && jr.engine_round() >= 100) {
@@ -502,21 +502,20 @@ TEST(JobCheckpoint, OracleProbeStateRoundTrips) {
   const auto want = result_bytes(donor.result());
   ASSERT_FALSE(snapshot.empty());
 
-  verify::OracleProbe p1(cfg);
-  campaign::JobRunner resumed(sc, jobs[0], 1, &p1);
+  campaign::JobRunner resumed(sc, jobs[0], 1, cfg);
   persist::Reader r(snapshot);
   ASSERT_TRUE(r.expect_header(persist::BlobKind::kJob).ok);
   ASSERT_TRUE(resumed.restore(r).ok);
   resumed.run();
   EXPECT_EQ(result_bytes(resumed.result()), want);
 
-  // Probe-configuration mismatch fails loudly instead of resuming wrong.
-  campaign::JobRunner unprobed(sc, jobs[0]);
+  // Oracle-configuration mismatch fails loudly instead of resuming wrong.
+  campaign::JobRunner unarmed(sc, jobs[0]);
   persist::Reader r2(snapshot);
   ASSERT_TRUE(r2.expect_header(persist::BlobKind::kJob).ok);
-  const auto s = unprobed.restore(r2);
+  const auto s = unarmed.restore(r2);
   ASSERT_FALSE(s.ok);
-  EXPECT_NE(s.error.find("probe"), std::string::npos) << s.error;
+  EXPECT_NE(s.error.find("oracle"), std::string::npos) << s.error;
 }
 
 // --- campaign-level resume ---------------------------------------------------
@@ -569,6 +568,38 @@ TEST(CampaignCheckpoint, HaltMidRunThenResumeIsByteIdentical) {
   ASSERT_TRUE(partial.halted);  // genuinely interrupted mid-run
 
   campaign::RunOptions resume;
+  resume.jobs = 2;
+  resume.resume_path = halt.checkpoint_path;
+  const auto rep = campaign::run_campaign(sc, resume);
+  EXPECT_FALSE(rep.halted);
+  EXPECT_EQ(rep.to_json(), straight);
+}
+
+TEST(CampaignCheckpoint, OracleArmedHaltMidJobThenResumeIsByteIdentical) {
+  // The halted run abandons a job whose oracle is still attached to its
+  // engine (the runner must tear both down in order), and the resumed job
+  // restores the oracle's pending set, stride phase and counters.
+  util::set_log_level(util::LogLevel::kError);
+  const Scenario sc = small_campaign();
+  campaign::RunOptions straight_opts;
+  straight_opts.oracle = verify::OracleConfig{.stride = 4, .hard_fail = false};
+  const std::string straight =
+      campaign::run_campaign(sc, straight_opts).to_json();
+  ASSERT_NE(straight.find("\"oracle\""), std::string::npos);
+
+  campaign::RunOptions halt = straight_opts;
+  halt.checkpoint_path = testing::TempDir() + "persist_campaign_oracle.bin";
+  halt.checkpoint_every = 75;
+  halt.halt_after_checkpoints = 2;
+  ASSERT_TRUE(campaign::run_campaign(sc, halt).halted);
+  std::vector<campaign::JobCheckpoint> states;
+  ASSERT_TRUE(
+      campaign::read_campaign_checkpoint(halt.checkpoint_path, sc, states).ok);
+  EXPECT_TRUE(std::any_of(states.begin(), states.end(), [](const auto& j) {
+    return j.state == campaign::JobCheckpoint::State::kInProgress;
+  })) << "the halt did not land mid-job";
+
+  campaign::RunOptions resume = straight_opts;
   resume.jobs = 2;
   resume.resume_path = halt.checkpoint_path;
   const auto rep = campaign::run_campaign(sc, resume);

@@ -118,7 +118,7 @@ TEST(Oracle, StrideThinsTheChecks) {
 
 TEST(Oracle, DetachFlushesTheFinalPartialStrideWindow) {
   // With a stride longer than the run, the only evaluation is the flush at
-  // detach (OracleProbe::finish detaches before reading the verdict); a
+  // detach (JobRunner::result detaches before reading the verdict); a
   // violation persisting to the end of the job must still be reported.
   util::set_log_level(util::LogLevel::kError);
   Scenario sc;
@@ -129,9 +129,9 @@ TEST(Oracle, DetachFlushesTheFinalPartialStrideWindow) {
   sc.seed_lo = sc.seed_hi = 1;
   sc.max_rounds = 3000;
   sc.freeze_at(0).churn_at(1, 2);
-  verify::OracleProbe probe(OracleConfig{.stride = 1u << 30});
   const auto jobs = campaign::expand_jobs(sc);
-  const auto r = campaign::run_job(sc, jobs[0], 1, &probe);
+  const auto r =
+      campaign::run_job(sc, jobs[0], 1, OracleConfig{.stride = 1u << 30});
   ASSERT_FALSE(r.oracle_violation.empty());
   EXPECT_EQ(r.oracle_violation.substr(0, 2), "I4");
   EXPECT_EQ(r.oracle_rounds_checked, 2u);  // attach check + detach flush
@@ -171,9 +171,8 @@ TEST(Verify, OracleCatchesFrozenChurnThroughTheCampaignRunner) {
   util::set_log_level(util::LogLevel::kError);
   const Scenario sc = frozen_churn_scenario();
   ASSERT_EQ(sc.validate(), "");
-  verify::OracleProbe probe;
   const auto jobs = campaign::expand_jobs(sc);
-  const auto r = campaign::run_job(sc, jobs[0], 1, &probe);
+  const auto r = campaign::run_job(sc, jobs[0], 1, OracleConfig{});
   EXPECT_TRUE(r.oracle_armed);
   ASSERT_FALSE(r.oracle_violation.empty());
   EXPECT_EQ(r.oracle_violation.substr(0, 2), "I4");
@@ -196,9 +195,8 @@ TEST(Verify, ThawedNetworkRecoversAndStaysOracleClean) {
   // A pure stall (no faults while frozen) must heal on thaw and stay
   // invariant-clean throughout.
   sc.freeze_at(0).thaw_at(40);
-  verify::OracleProbe probe;
   const auto jobs = campaign::expand_jobs(sc);
-  const auto r = campaign::run_job(sc, jobs[0], 1, &probe);
+  const auto r = campaign::run_job(sc, jobs[0], 1, OracleConfig{});
   EXPECT_TRUE(r.oracle_armed);
   EXPECT_EQ(r.oracle_violation, "");
   EXPECT_TRUE(r.converged);
@@ -350,10 +348,9 @@ TEST(Verify, LollipopLivelockScenarioConverges) {
   const auto sc = campaign::load_scenario(
       std::string(CHS_SOURCE_DIR) + "/examples/scenarios/lollipop_livelock.scn", &error);
   ASSERT_TRUE(sc.has_value()) << error;
-  verify::OracleProbe probe;
   const auto jobs = campaign::expand_jobs(*sc);
   ASSERT_EQ(jobs.size(), 1u);
-  const auto r = campaign::run_job(*sc, jobs[0], 1, &probe);
+  const auto r = campaign::run_job(*sc, jobs[0], 1, OracleConfig{});
   EXPECT_TRUE(r.converged) << "matching livelock is back";
   EXPECT_EQ(r.oracle_violation, "");
 }
@@ -368,9 +365,8 @@ TEST(Verify, MidMergeChurnScenarioStaysOracleClean) {
   const auto sc = campaign::load_scenario(
       std::string(CHS_SOURCE_DIR) + "/examples/scenarios/midmerge_churn.scn", &error);
   ASSERT_TRUE(sc.has_value()) << error;
-  verify::OracleProbe probe;
   const auto jobs = campaign::expand_jobs(*sc);
-  const auto r = campaign::run_job(*sc, jobs[0], 1, &probe);
+  const auto r = campaign::run_job(*sc, jobs[0], 1, OracleConfig{});
   EXPECT_EQ(r.oracle_violation, "") << "@ round " << r.oracle_round;
   EXPECT_TRUE(r.converged);
 }

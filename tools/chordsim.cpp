@@ -52,6 +52,9 @@
 // (never part of golden-diffed output). `trace` runs ONE job of a scenario
 // with the flight recorder armed unconditionally and writes the Chrome
 // trace-event JSON (chrome://tracing, Perfetto) to --out or stdout.
+// `--oracle` (campaign, trace) arms the invariant oracle on every job in
+// soft mode: violations are recorded in the report, and narrated into the
+// flight recorder when one is armed, but never abort the job.
 //
 // `run` stabilizes an Avatar(target) network from the chosen initial topology
 // and prints the convergence metrics (optionally a per-round phase trace).
@@ -75,6 +78,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -382,10 +386,7 @@ int cmd_campaign(const Args& a) {
     // Arm the invariant oracle on every job in soft mode: violations are
     // recorded (and attributed, for Byzantine scenarios — DESIGN.md D11)
     // without aborting the campaign, so the report still aggregates.
-    verify::OracleConfig ocfg;
-    ocfg.stride = 1;
-    ocfg.hard_fail = false;
-    opts.probe = verify::oracle_probe_factory(ocfg);
+    opts.oracle = verify::OracleConfig{.stride = 1, .hard_fail = false};
   }
   if (opts.checkpoint_every != 0 && opts.checkpoint_path.empty()) {
     std::fprintf(stderr, "--checkpoint-every needs --checkpoint FILE\n");
@@ -549,17 +550,13 @@ int cmd_trace(const Args& a) {
   // Unlike `campaign --flight DIR` (failed jobs only), `trace` always dumps:
   // it exists to look at one job in detail, healthy or not.
   obs::FlightRecorder flight;
-  std::unique_ptr<verify::OracleProbe> probe;
+  std::optional<verify::OracleConfig> oracle;
   if (a.has("oracle")) {
-    verify::OracleConfig ocfg;
-    ocfg.stride = 1;
-    ocfg.hard_fail = false;
-    probe = std::make_unique<verify::OracleProbe>(ocfg);
-    probe->set_flight(&flight);  // before attach: violations narrate too
+    oracle = verify::OracleConfig{.stride = 1, .hard_fail = false};
   }
   campaign::JobRunner runner(
       *sc, jobs[job], std::max<std::size_t>(1, a.get_u64("workers", 1)),
-      probe.get());
+      oracle);
   runner.set_flight(&flight);
   runner.run();
   const campaign::JobResult jr = runner.result();
