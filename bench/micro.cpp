@@ -2,13 +2,11 @@
 // These are the per-round primitives whose cost determines how large an N
 // the experiment sweeps can afford.
 //
-// Engine knobs exercised here (both default off/1 — see DESIGN.md D6):
-//   * Engine::set_worker_threads(k) — deterministic parallel rounds: the
-//     stepped set and dirty-publish set shard across k workers with
-//     bit-for-bit identical traces at any k (BM_EngineBusyRound sweeps k;
-//     speedup tracks physical cores, so expect none on a 1-vCPU host).
-//   * Engine::set_idle_fast_forward(true) — provably empty gap rounds are
-//     jumped wholesale instead of iterated (BM_EngineIdleGap).
+// Engine knob exercised here (default 1 — see DESIGN.md D6):
+// Engine::set_worker_threads(k) — deterministic parallel rounds: the
+// stepped set and dirty-publish set shard across k workers with bit-for-bit
+// identical traces at any k (BM_EngineBusyRound sweeps k; speedup tracks
+// physical cores, so expect none on a 1-vCPU host).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -467,47 +465,6 @@ BENCHMARK(BM_EngineScaleRound)
     ->Args({0, 100000})->Args({1, 100000})
     ->Args({0, 1000000})->Args({1, 1000000})
     ->Unit(benchmark::kMillisecond);
-
-// Idle fast-forward: a two-node network where node 0 self-clocks every
-// 1000 rounds. With set_idle_fast_forward(true) each step_round() call
-// jumps the whole gap; the rounds_per_call counter shows the leverage
-// (~1000 rounds of simulated time per call vs exactly 1 without the knob).
-struct GapTicker {
-  static constexpr bool kUsesActiveSet = true;
-  struct Message {
-    int x;
-  };
-  struct NodeState {
-    std::uint64_t ticks = 0;
-  };
-  struct PublicState {
-    bool operator==(const PublicState&) const = default;
-  };
-  void init_node(chs::sim::NodeId, NodeState&, chs::util::Rng&) {}
-  void publish(const NodeState&, PublicState&) {}
-  void step(chs::sim::NodeCtx<GapTicker>& ctx) {
-    ++ctx.state().ticks;
-    if (ctx.self() == 0) ctx.request_wakeup(1000);
-  }
-};
-
-void BM_EngineIdleGap(benchmark::State& state) {
-  chs::graph::Graph g({0, 1});
-  g.add_edge(0, 1);
-  chs::sim::Engine<GapTicker> eng(std::move(g), GapTicker{}, 1);
-  eng.metrics().set_trace_recording(false);
-  eng.set_idle_fast_forward(state.range(0) != 0);
-  const std::uint64_t start_round = eng.round();
-  std::uint64_t calls = 0;
-  for (auto _ : state) {
-    eng.step_round();
-    ++calls;
-  }
-  state.counters["rounds_per_call"] = benchmark::Counter(
-      static_cast<double>(eng.round() - start_round) /
-      static_cast<double>(calls == 0 ? 1 : calls));
-}
-BENCHMARK(BM_EngineIdleGap)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 // Full stabilization from a random tree (active phase): the active set
 // still wins while the network is busy, just less dramatically.

@@ -11,10 +11,9 @@
 //      then grow Chord fingers over it with PIF waves,
 //   4. query the result: legality, degrees, routing.
 //
-// Two engine knobs matter at scale (both preserve traces bit for bit —
-// DESIGN.md D6): eng->set_worker_threads(k) shards the busy-phase round
-// work across k threads, and eng->set_idle_fast_forward(true) jumps
-// provably empty gap rounds in one step_round() call.
+// One engine knob matters at scale: eng->set_worker_threads(k) shards the
+// busy-phase round work across k threads, with traces bit for bit those of
+// one thread (DESIGN.md D6).
 #include <cstdio>
 #include <cstdlib>
 

@@ -4,15 +4,6 @@
 
 namespace chs::adversary {
 
-const char* delay_model_name(DelayModel m) {
-  switch (m) {
-    case DelayModel::kUniform: return "uniform";
-    case DelayModel::kLognormal: return "lognormal";
-    case DelayModel::kBimodalSpike: return "bimodal-spike";
-  }
-  return "?";
-}
-
 bool delay_model_by_name(const std::string& s, DelayModel& out) {
   if (s == "uniform") { out = DelayModel::kUniform; return true; }
   if (s == "lognormal") { out = DelayModel::kLognormal; return true; }

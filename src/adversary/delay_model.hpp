@@ -30,8 +30,6 @@ enum class DelayModel : std::uint8_t {
   kBimodalSpike = 2,  // mostly 1, occasional full-D spike (bufferbloat)
 };
 
-const char* delay_model_name(DelayModel m);
-
 /// Strict parse of a .scn `delay-model` token. Returns false on an unknown
 /// name, leaving `out` untouched.
 bool delay_model_by_name(const std::string& s, DelayModel& out);

@@ -715,8 +715,8 @@ bool JobRunner::step() {
   Impl& im = *impl_;
   switch (im.stage) {
     case Impl::Stage::kSetup: {
-      // The abort hook semantics of run_to_convergence: invariants must
-      // hold during stabilization too, so a hard-failing oracle ends setup.
+      // Stabilize until converged or out of budget. Invariants must hold
+      // during stabilization too, so a hard-failing oracle ends setup.
       if (im.oracle_failed() || core::is_converged(*im.eng) ||
           im.setup_rounds >= im.sc.max_rounds) {
         im.out.setup_converged = core::is_converged(*im.eng);

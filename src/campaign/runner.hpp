@@ -48,7 +48,7 @@ std::vector<JobSpec> expand_jobs(const Scenario& sc);
 /// loss/partition delivery filter — until every event and window has passed
 /// and the network has reconverged, or the round budget runs out. run_job
 /// is the one-shot wrapper; this class exists so the campaign runner can
-/// snapshot a job mid-flight and the minimizer can time-travel into one.
+/// snapshot a job mid-flight and resume it.
 ///
 /// With `oracle` set, the runner arms a verify::InvariantOracle (DESIGN.md
 /// D8) on the job's engine right after construction — before the setup

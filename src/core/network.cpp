@@ -170,17 +170,12 @@ std::uint64_t total_resets(const StabEngine& eng) {
   return total;
 }
 
-RunResult run_to_convergence(StabEngine& eng, std::uint64_t max_rounds,
-                             const std::function<bool()>* abort) {
+RunResult run_to_convergence(StabEngine& eng, std::uint64_t max_rounds) {
   RunResult res;
   const auto [rounds, ok] = eng.run_until(
-      [abort](StabEngine& e) {
-        return is_converged(e) || (abort && (*abort)());
-      },
-      max_rounds);
+      [](StabEngine& e) { return is_converged(e); }, max_rounds);
   res.rounds = rounds;
-  res.converged = is_converged(eng);
-  (void)ok;
+  res.converged = ok;
   res.degree_expansion = eng.metrics().degree_expansion(eng.graph());
   res.messages = eng.metrics().messages();
   res.total_resets = total_resets(eng);

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "avatar/embedding.hpp"
@@ -72,11 +71,8 @@ struct RunResult {
   std::uint64_t total_resets = 0;
 };
 
-/// Step until is_converged or the round budget runs out. `abort`, when
-/// non-null, is polled between rounds and ends the run early when it
-/// returns true (e.g. a hard-failing verification probe).
-RunResult run_to_convergence(StabEngine& eng, std::uint64_t max_rounds,
-                             const std::function<bool()>* abort = nullptr);
+/// Step until is_converged or the round budget runs out.
+RunResult run_to_convergence(StabEngine& eng, std::uint64_t max_rounds);
 
 /// Sum of HostState::resets over all hosts (instrumentation).
 std::uint64_t total_resets(const StabEngine& eng);

@@ -510,8 +510,6 @@ void persist_fields(A& a, MinimizeResult& v) {
   a(v.scenario);
   a(v.replay);
   a(v.probes);
-  a(v.windowed_replays);
-  a(v.full_replays);
   a(v.steps);
 }
 

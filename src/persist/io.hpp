@@ -111,7 +111,10 @@ const char* blob_kind_name(BlobKind k);
 // v10: the campaign runner owns its invariant oracle (DESIGN.md D8) — the
 // job blob's probe section becomes ORCL (the oracle's state, no arming
 // flag) and JobResult persists the oracle's path bits.
-inline constexpr std::uint32_t kFormatVersion = 10;
+// v11: one round per step_round() (DESIGN.md D6) — METR loses the idle
+// fast-forward's skipped-round counter, and MinimizeResult (fuzz blobs)
+// loses the time-travel minimizer's windowed and full replay counters.
+inline constexpr std::uint32_t kFormatVersion = 11;
 
 /// Section tag from a 4-char mnemonic: tag4("ENGN").
 constexpr std::uint32_t tag4(const char (&s)[5]) {

@@ -39,11 +39,7 @@
 //     Protocol actions are recorded into per-shard ActionBuffers and merged
 //     in ascending node-index order, so the applied action order — and
 //     therefore every trace — is bit-for-bit identical to the sequential
-//     engine at any thread count (DESIGN.md D6);
-//   * idle fast-forward (opt-in)    — set_idle_fast_forward(true) lets a
-//     round in which nothing is active and nothing is due jump straight to
-//     the next scheduled calendar event, making fully idle gap rounds O(1)
-//     in aggregate while preserving round numbering, metrics, and traces.
+//     engine at any thread count (DESIGN.md D6).
 #pragma once
 
 #include <algorithm>
@@ -361,15 +357,6 @@ class Engine {
   }
   std::size_t worker_threads() const { return worker_threads_; }
 
-  /// Idle fast-forward: when nothing is active and nothing is due, jump
-  /// round_ straight to the next scheduled calendar event instead of
-  /// iterating empty rounds. Round numbering, metrics, and traces are
-  /// preserved exactly; what changes is that one step_round() call may
-  /// advance round() by more than one. Off by default because harnesses
-  /// that call step_round() a fixed number of times rely on one call
-  /// advancing exactly one round.
-  void set_idle_fast_forward(bool on) { idle_fast_forward_ = on; }
-
   const NodeState& state(NodeId id) const { return states_[graph_.index_of(id)]; }
 
   /// Mutable state access for fault injection and harness glue. Marks the
@@ -472,8 +459,7 @@ class Engine {
   /// round or externally mutated via state_mut — ascending order), and
   /// every topology mutation applied since the previous observation
   /// (protocol edge actions and external inject_edge / inject_edge_removal
-  /// alike; each removal names its site). Rounds skipped by the idle
-  /// fast-forward are provably empty and are not observed individually.
+  /// alike; each removal names its site).
   ///
   /// Threading contract: like the delivery filter, the observer runs on the
   /// engine's calling thread in a serial phase — after the D6 shard merge —
@@ -521,15 +507,10 @@ class Engine {
   /// Pass nullptr to disarm (the default costs one branch per phase).
   void set_profiler(RoundProfile* p) { profile_ = p; }
 
-  /// Execute one synchronous round (or, with idle fast-forward enabled,
-  /// one active round preceded by any number of provably empty ones).
+  /// Execute one synchronous round.
   void step_round() {
     PhaseTimer prof(profile_);
     round_actions_ = 0;
-    if (idle_fast_forward_ && step_mode_ == StepMode::kActiveSet &&
-        woken_.empty()) {
-      fast_forward_idle_gap();
-    }
     mail_.begin_round();
 
     // --- release: wakeups, then held self-messages, then delayed sends.
@@ -764,10 +745,10 @@ class Engine {
   /// bit-for-bit identical to the uninterrupted run, at any worker count.
   ///
   /// Must be called between rounds (outside step_round). Wall-clock and
-  /// debug configuration — worker threads, idle fast-forward, delivery
-  /// filter, round observer — is deliberately *not* state and is neither
-  /// saved nor touched by restore: it belongs to the process hosting the
-  /// run, not to the run.
+  /// debug configuration — worker threads, delivery filter, round
+  /// observer — is deliberately *not* state and is neither saved nor
+  /// touched by restore: it belongs to the process hosting the run, not to
+  /// the run.
   ///
   /// If the protocol declares `persist_fields(A&)`, its between-round
   /// dynamic knobs (e.g. the stabilizer's frozen flag) ride along; protocol
@@ -1305,39 +1286,6 @@ class Engine {
     }
   }
 
-  /// Opt-in idle fast-forward: with no active nodes and no event due before
-  /// round X, rounds round_ .. X-1 are provably empty — account for them in
-  /// the metrics (identical entries to executing them) and jump. The
-  /// subsequent code in step_round then runs the first non-empty round.
-  void fast_forward_idle_gap() {
-    std::uint64_t next = ~std::uint64_t{0};
-    bool any = false;
-    if (const auto d = delayed_.next_due_round()) {
-      next = std::min(next, *d);
-      any = true;
-    }
-    if (const auto d = holds_.next_due_round()) {
-      next = std::min(next, *d);
-      any = true;
-    }
-    if (const auto d = wakeups_.next_due_round()) {
-      next = std::min(next, *d);
-      any = true;
-    }
-    if (!any || next <= round_) return;  // nothing ever due, or due now
-    const std::uint64_t skip = next - round_;
-    metrics_.observe_idle_rounds(skip);
-    // Each skipped round had zero actions and deliveries; the quiescence
-    // streak grows through the gap unless deliverable events (holds or
-    // delayed sends) were pending all along — exactly the per-round rule.
-    if (holds_pending()) {
-      quiescent_streak_ = 0;
-    } else {
-      quiescent_streak_ += skip;
-    }
-    round_ = next;
-  }
-
   /// Accumulate an applied topology mutation for the round observer; a
   /// no-op (one predicted branch) when no observer is installed.
   void record_delta(NodeId u, NodeId v, bool removed,
@@ -1371,7 +1319,6 @@ class Engine {
   std::size_t worker_threads_ = 1;
   StepMode step_mode_ = StepMode::kAll;
   bool topo_changed_ = false;
-  bool idle_fast_forward_ = false;
   std::vector<NodeIndex> woken_;   // active set accumulating for next round
   std::vector<std::uint8_t> woken_mark_;
   std::vector<NodeIndex> stepped_;  // nodes stepped in the current round

@@ -24,16 +24,6 @@ void RunMetrics::observe_round(const graph::Graph& g, std::uint64_t actions,
   if (trace_recording_) trace_.push_back(d);
 }
 
-void RunMetrics::observe_idle_rounds(std::uint64_t k) {
-  rounds_ += k;
-  rounds_fast_forwarded_ += k;
-  last_nodes_stepped_ = 0;
-  // No topology change is possible in an empty round, so the cached max
-  // degree is exact for every skipped entry; peak_max_degree_ already
-  // covers it (observe_round maxed it in when the cache was set).
-  if (trace_recording_) trace_.insert(trace_.end(), k, cached_max_degree_);
-}
-
 void RunMetrics::observe_scheduler(std::size_t pending_events,
                                    std::size_t peak_bucket_occupancy) {
   peak_pending_events_ = std::max(peak_pending_events_, pending_events);

@@ -24,10 +24,6 @@ class RunMetrics {
   void observe_initial(const graph::Graph& g);
   void observe_round(const graph::Graph& g, std::uint64_t actions,
                      std::uint64_t stepped, bool topo_changed);
-  /// Account `k` provably empty rounds skipped by the idle fast-forward:
-  /// byte-identical bookkeeping to observing each of them (zero nodes
-  /// stepped, topology unchanged, cached max degree repeated in the trace).
-  void observe_idle_rounds(std::uint64_t k);
   void observe_scheduler(std::size_t pending_events,
                          std::size_t peak_bucket_occupancy);
 
@@ -71,8 +67,6 @@ class RunMetrics {
   std::uint64_t last_nodes_stepped() const { return last_nodes_stepped_; }
   /// Cumulative Protocol::publish invocations (dirty snapshots only).
   std::uint64_t snapshots_published() const { return snapshots_published_; }
-  /// Rounds skipped wholesale by the idle fast-forward (subset of rounds()).
-  std::uint64_t rounds_fast_forwarded() const { return rounds_fast_forwarded_; }
   /// High-water mark of events pending in the engine calendars.
   std::size_t peak_pending_events() const { return peak_pending_events_; }
   /// Largest single calendar bucket ever observed.
@@ -108,7 +102,6 @@ class RunMetrics {
     a(nodes_stepped_);
     a(last_nodes_stepped_);
     a(snapshots_published_);
-    a(rounds_fast_forwarded_);
     a(peak_pending_events_);
     a(peak_bucket_occupancy_);
     a(initial_max_degree_);
@@ -131,7 +124,6 @@ class RunMetrics {
   std::uint64_t nodes_stepped_ = 0;
   std::uint64_t last_nodes_stepped_ = 0;
   std::uint64_t snapshots_published_ = 0;
-  std::uint64_t rounds_fast_forwarded_ = 0;
   std::size_t peak_pending_events_ = 0;
   std::size_t peak_bucket_occupancy_ = 0;
   std::size_t initial_max_degree_ = 0;

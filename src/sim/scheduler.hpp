@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -71,18 +70,6 @@ class CalendarQueue {
       }
     }
     b.resize(w);  // keeps capacity: the bucket arena is reused across laps
-  }
-
-  /// Earliest due round among all pending events, or nullopt when empty.
-  /// O(buckets + size) scan — called once per idle *gap* (not per round) by
-  /// the engine's fast-forward, which amortizes it over the whole jump.
-  std::optional<std::uint64_t> next_due_round() const {
-    if (size_ == 0) return std::nullopt;
-    std::uint64_t best = ~std::uint64_t{0};
-    for (const auto& b : buckets_) {
-      for (const auto& e : b) best = std::min(best, e.due);
-    }
-    return best;
   }
 
   std::size_t size() const { return size_; }

@@ -20,7 +20,6 @@ const char* level_name(LogLevel level) {
 }  // namespace
 
 void set_log_level(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
 void log(LogLevel level, const char* fmt, ...) {
   if (level < g_level.load(std::memory_order_relaxed)) return;

@@ -13,7 +13,6 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global threshold; messages below it are dropped.
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 void log(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 

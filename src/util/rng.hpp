@@ -42,11 +42,6 @@ class Rng {
   /// Fair coin.
   bool next_bool() { return (next_u64() & 1) != 0; }
 
-  /// Bernoulli(p_num / p_den).
-  bool next_bernoulli(std::uint64_t p_num, std::uint64_t p_den) {
-    return next_below(p_den) < p_num;
-  }
-
   /// Uniform double in [0, 1).
   double next_double() {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

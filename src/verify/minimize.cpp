@@ -1,10 +1,8 @@
 #include "verify/minimize.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
-#include "persist/io.hpp"
 #include "util/check.hpp"
 
 namespace chs::verify {
@@ -127,115 +125,6 @@ MinimizeResult minimize(const Scenario& sc0, const campaign::JobSpec& spec,
     return res;
   }
 
-  // --- windowed time-travel (DESIGN.md D9) ----------------------------------
-  // For oracle violations the failure has a round; snapshot the collapsed
-  // job `window` engine rounds before it, and serve every suffix-only
-  // candidate edit by restoring the snapshot instead of replaying from
-  // round 0. The snapshot state is identical to any eligible candidate's
-  // full-run state at that round (identical config and prefix => identical
-  // deterministic execution), so windowed verdicts equal full-run verdicts.
-  struct TimeTravel {
-    std::vector<std::uint8_t> snapshot;  // BlobKind::kJob blob
-    campaign::Scenario base;             // scenario the snapshot belongs to
-    bool in_timeline = false;
-    std::uint64_t t = 0;             // timeline round at capture
-    std::uint64_t engine_round = 0;  // engine round at capture
-    std::uint64_t setup_rounds = 0;  // setup length of the captured run
-  };
-  std::optional<TimeTravel> tt;
-  if (opt.window > 0 &&
-      sig.kind == FailureSignature::Kind::kOracleViolation) {
-    const std::uint64_t fail_round = res.replay.oracle_round;
-    const std::uint64_t target =
-        fail_round > opt.window ? fail_round - opt.window : 0;
-    const auto jobs = campaign::expand_jobs(res.scenario);
-    campaign::JobRunner runner(res.scenario, jobs[0], opt.engine_workers,
-                               opt.oracle);
-    TimeTravel cap;
-    bool captured = false;
-    runner.run([&](campaign::JobRunner& jr) {
-      if (jr.engine_round() < target) return true;
-      persist::Writer w(persist::BlobKind::kJob);
-      jr.checkpoint(w);
-      cap.snapshot = w.take();
-      cap.in_timeline = jr.in_timeline();
-      cap.t = jr.timeline_round();
-      cap.engine_round = jr.engine_round();
-      captured = true;
-      return false;  // snapshot taken; no need to finish this replay
-    });
-    if (captured) {
-      cap.base = res.scenario;
-      cap.setup_rounds = res.replay.setup_rounds;
-      res.steps.push_back(
-          "time-travel snapshot at engine round " +
-          std::to_string(cap.engine_round) + " (violation at " +
-          std::to_string(fail_round) + ", window " +
-          std::to_string(opt.window) + ")");
-      tt = std::move(cap);
-    }
-  }
-
-  const auto prefix_events = [](const campaign::Scenario& s,
-                                std::uint64_t before) {
-    std::vector<campaign::TimelineEvent> evs(s.events);
-    campaign::sort_events_by_round(evs);
-    std::erase_if(evs, [before](const campaign::TimelineEvent& e) {
-      return e.round >= before;
-    });
-    return evs;
-  };
-  // Candidates the snapshot can serve: identical configuration and an
-  // identical already-executed prefix. A setup-stage snapshot has applied
-  // no events and built no adversary, so only the config (and enough
-  // budget to reach the snapshot) must match; a timeline-stage snapshot
-  // additionally pins the loss/partition windows (the adversary pre-draws
-  // from them and the filter reads them all) and the applied event prefix.
-  const auto windowed_eligible = [&](const campaign::Scenario& cand) {
-    if (!tt) return false;
-    const campaign::Scenario& b = tt->base;
-    if (cand.n_guests != b.n_guests || cand.host_counts != b.host_counts ||
-        cand.families != b.families || cand.seed_lo != b.seed_lo ||
-        cand.seed_hi != b.seed_hi || cand.target != b.target ||
-        cand.delay != b.delay || cand.delay_model != b.delay_model ||
-        cand.start != b.start || cand.series_stride != b.series_stride ||
-        cand.series_cap != b.series_cap || cand.workload != b.workload) {
-      // Series recording and the serving workload carry state from the
-      // first round on (sampling cursor, key space, in-flight ops), so a
-      // snapshot only serves candidates that keep them verbatim.
-      return false;
-    }
-    if (!tt->in_timeline) return cand.max_rounds >= tt->engine_round;
-    // The timeline adversary pre-draws from the loss/partition/Byzantine
-    // windows and maps domains from racks/zones, so a snapshot only serves
-    // candidates that keep all of them verbatim.
-    if (cand.losses != b.losses || cand.partitions != b.partitions ||
-        cand.byzantine != b.byzantine || cand.racks != b.racks ||
-        cand.zones != b.zones) {
-      return false;
-    }
-    if (cand.max_rounds < std::max(tt->setup_rounds, tt->t)) return false;
-    return prefix_events(cand, tt->t) == prefix_events(b, tt->t);
-  };
-  const auto reproduces_windowed = [&](const campaign::Scenario& cand,
-                                       JobResult* out) {
-    const auto jobs = campaign::expand_jobs(cand);
-    CHS_CHECK(jobs.size() == 1);
-    campaign::JobRunner runner(cand, jobs[0], opt.engine_workers, opt.oracle);
-    persist::Reader r(tt->snapshot);
-    auto s = r.expect_header(persist::BlobKind::kJob);
-    if (s.ok) s = runner.restore(r);
-    if (s.ok) s = r.expect_end();
-    CHS_CHECK_MSG(s.ok, s.error.c_str());
-    runner.run();
-    JobResult jr = runner.result();
-    FailureSignature got;
-    const bool failed = job_failed(jr, &got);
-    if (out) *out = std::move(jr);
-    if (!failed || got.kind != sig.kind) return false;
-    return sig.invariant.empty() || got.invariant == sig.invariant;
-  };
-
   const auto try_candidate = [&](Scenario cand,
                                  const std::string& what) -> bool {
     if (res.probes >= opt.max_probes) return false;
@@ -248,15 +137,7 @@ MinimizeResult minimize(const Scenario& sc0, const campaign::JobSpec& spec,
     }
     ++res.probes;
     JobResult r;
-    bool ok;
-    if (windowed_eligible(cand)) {
-      ++res.windowed_replays;
-      ok = reproduces_windowed(cand, &r);
-    } else {
-      ++res.full_replays;
-      ok = reproduces(cand, sig, opt, &r);
-    }
-    if (!ok) return false;
+    if (!reproduces(cand, sig, opt, &r)) return false;
     res.scenario = std::move(cand);
     res.replay = std::move(r);
     res.steps.push_back(what);

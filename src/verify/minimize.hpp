@@ -59,24 +59,12 @@ struct MinimizeOptions {
   /// Candidate evaluations allowed; minimization stops at the budget and
   /// returns the smallest repro found so far.
   std::uint64_t max_probes = 128;
-  /// Windowed time-travel repro (DESIGN.md D9). For oracle-violation
-  /// signatures with window > 0, the minimizer snapshots the collapsed job
-  /// `window` engine rounds before the violation fired and evaluates every
-  /// suffix-only candidate edit by restoring the snapshot and replaying just
-  /// the window — O(window · shrinks) instead of O(rounds · shrinks) for a
-  /// failure that takes hundreds of rounds to brew. Candidates that touch
-  /// the pre-snapshot prefix (config, seeds, loss/partition windows, or an
-  /// already-applied event) fall back to a full replay, so the minimized
-  /// scenario is identical to window = 0 — only cheaper to reach.
-  std::uint64_t window = 0;
 };
 
 struct MinimizeResult {
   campaign::Scenario scenario;   // minimized single-job scenario
   campaign::JobResult replay;    // outcome of the final repro run
   std::uint64_t probes = 0;      // candidate runs evaluated
-  std::uint64_t windowed_replays = 0;  // candidates served from the snapshot
-  std::uint64_t full_replays = 0;      // candidates needing a from-0 run
   std::vector<std::string> steps;  // human-readable shrink log
 };
 

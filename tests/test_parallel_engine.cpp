@@ -6,9 +6,6 @@
 //    goldens, and a send-heavy toy protocol must produce bit-for-bit
 //    identical round counts, message counts, and traces at 1, 2, and 8
 //    worker threads. Only wall clock may differ.
-// 3. Idle fast-forward: round numbering, metrics, and traces match the
-//    round-by-round engine exactly while provably empty gap rounds are
-//    skipped wholesale.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -201,95 +198,6 @@ TEST(ParallelDeterminism, FlooderStatesIdenticalAcrossWorkerCounts) {
   const auto base = run(1);
   EXPECT_EQ(run(2), base);
   EXPECT_EQ(run(8), base);
-}
-
-// --- idle fast-forward -----------------------------------------------------
-
-struct SparseTicker {
-  static constexpr bool kUsesActiveSet = true;
-  struct Message {
-    int x;
-  };
-  struct NodeState {
-    std::vector<std::uint64_t> stepped_rounds;
-  };
-  struct PublicState {
-    bool operator==(const PublicState&) const = default;
-  };
-  void init_node(sim::NodeId, NodeState&, util::Rng&) {}
-  void publish(const NodeState&, PublicState&) {}
-  void step(sim::NodeCtx<SparseTicker>& ctx) {
-    ctx.state().stepped_rounds.push_back(ctx.round());
-    if (ctx.self() == 0) ctx.request_wakeup(25);  // long idle gaps
-  }
-};
-
-TEST(IdleFastForward, JumpsGapsWithIdenticalRoundNumbering) {
-  auto make = [] {
-    graph::Graph g({0, 1});
-    g.add_edge(0, 1);
-    return sim::Engine<SparseTicker>(std::move(g), SparseTicker{}, 1);
-  };
-  auto slow = make();
-  auto fast = make();
-  fast.set_idle_fast_forward(true);
-
-  // 8 activations of node 0: rounds 0, 25, 50, ..., 175.
-  for (int r = 0; r < 176; ++r) slow.step_round();
-  std::uint64_t fast_calls = 0;
-  while (fast.round() < 176) {
-    fast.step_round();
-    ++fast_calls;
-  }
-  EXPECT_EQ(fast.round(), 176u);  // gaps land exactly on due rounds
-  EXPECT_LT(fast_calls, 20u);     // ~2 calls per activation, not 176
-  EXPECT_EQ(fast.state(0).stepped_rounds, slow.state(0).stepped_rounds);
-  EXPECT_EQ(fast.state(1).stepped_rounds, slow.state(1).stepped_rounds);
-  EXPECT_EQ(fast.metrics().rounds(), slow.metrics().rounds());
-  EXPECT_EQ(fast.metrics().max_degree_trace(), slow.metrics().max_degree_trace());
-  EXPECT_EQ(fast.quiescent_streak(), slow.quiescent_streak());
-  EXPECT_GT(fast.metrics().rounds_fast_forwarded(), 100u);
-  EXPECT_EQ(slow.metrics().rounds_fast_forwarded(), 0u);
-}
-
-TEST(IdleFastForward, StabilizerConvergenceUnchanged) {
-  util::set_log_level(util::LogLevel::kError);
-  auto make = [] {
-    util::Rng rng(13);
-    auto ids = graph::sample_ids(24, 128, rng);
-    Params p;
-    p.n_guests = 128;
-    return core::make_engine(graph::make_random_tree(ids, rng), p, 3);
-  };
-  auto slow = make();
-  auto fast = make();
-  fast->set_idle_fast_forward(true);
-  const auto res_slow = core::run_to_convergence(*slow, 400000);
-  const auto res_fast = core::run_to_convergence(*fast, 400000);
-  ASSERT_TRUE(res_slow.converged);
-  ASSERT_TRUE(res_fast.converged);
-  EXPECT_EQ(res_fast.rounds, res_slow.rounds);
-  EXPECT_EQ(res_fast.messages, res_slow.messages);
-  EXPECT_EQ(res_fast.total_resets, res_slow.total_resets);
-  EXPECT_EQ(fast->metrics().max_degree_trace(),
-            slow->metrics().max_degree_trace());
-}
-
-TEST(IdleFastForward, FullyQuiescentNetworkStaysCheap) {
-  util::set_log_level(util::LogLevel::kError);
-  util::Rng rng(13);
-  auto ids = graph::sample_ids(24, 128, rng);
-  Params p;
-  p.n_guests = 128;
-  auto eng = core::make_engine(graph::make_random_tree(ids, rng), p, 3);
-  eng->set_idle_fast_forward(true);
-  ASSERT_TRUE(core::run_to_convergence(*eng, 400000).converged);
-  while (eng->pending_events() != 0) eng->step_round();
-  // No calendar events at all: each call is one plain (empty) round.
-  const std::uint64_t before = eng->round();
-  for (int r = 0; r < 10; ++r) eng->step_round();
-  EXPECT_EQ(eng->round(), before + 10);
-  EXPECT_TRUE(core::is_converged(*eng));
 }
 
 }  // namespace

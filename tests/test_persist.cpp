@@ -25,7 +25,6 @@
 #include "sim/scheduler.hpp"
 #include "util/log.hpp"
 #include "verify/fuzzer.hpp"
-#include "verify/minimize.hpp"
 #include "verify/oracle.hpp"
 
 namespace chs {
@@ -661,43 +660,6 @@ TEST(FuzzResume, SeedMismatchIsRejected) {
   const auto s = verify::read_fuzz_checkpoint(path, 4, rs);
   ASSERT_FALSE(s.ok);
   EXPECT_NE(s.error.find("seed"), std::string::npos) << s.error;
-}
-
-// --- windowed time-travel minimization ---------------------------------------
-
-TEST(MinimizeWindow, TimeTravelShrinkMatchesFullShrink) {
-  util::set_log_level(util::LogLevel::kError);
-  // The PR 4 frozen-churn repro: freeze the network, churn two hosts, and
-  // the survivors' dangling structural references trip I4 — plus decoys
-  // (fault, loss, partition) the minimizer must strip.
-  Scenario sc;
-  sc.name = "window-min";
-  sc.n_guests = 64;
-  sc.host_counts = {12};
-  sc.families = {graph::Family::kRandomTree};
-  sc.seed_lo = sc.seed_hi = 1;
-  sc.max_rounds = 100000;
-  sc.freeze_at(0).churn_at(1, 2);
-  sc.fault_at(5, 1);
-  sc.loss(2, 40, 0.5);
-  sc.partition(10, 30);
-  const auto jobs = campaign::expand_jobs(sc);
-  const verify::FailureSignature sig{
-      verify::FailureSignature::Kind::kOracleViolation, "I4"};
-
-  const auto full = verify::minimize(sc, jobs[0], sig, {});
-  ASSERT_EQ(full.replay.oracle_violation.substr(0, 2), "I4");
-  EXPECT_EQ(full.windowed_replays, 0u);  // window off: every replay is full
-
-  verify::MinimizeOptions wopt;
-  wopt.window = 64;
-  const auto windowed = verify::minimize(sc, jobs[0], sig, wopt);
-  // Same minimized scenario, reached with time-travel replays standing in
-  // for full ones.
-  EXPECT_EQ(windowed.scenario, full.scenario);
-  EXPECT_GT(windowed.windowed_replays, 0u);
-  EXPECT_LT(windowed.full_replays, full.full_replays);
-  EXPECT_EQ(result_bytes(windowed.replay), result_bytes(full.replay));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 //   chordsim run    [--n 64] [--N 256] [--family random_tree] [--seed 1]
 //                   [--target chord|bichord|hypercube|skiplist|smallworld]
 //                   [--delay 1] [--max-rounds 400000] [--trace]
-//                   [--workers 1] [--fast-forward]
+//                   [--workers 1]
 //   chordsim route  [--n 64] [--N 256] [--lookups 500] [--seed 1]
 //                   (KV gets; hops reported are round-trip)
 //   chordsim churn  [--n 64] [--N 256] [--episodes 3] [--burst 1] [--seed 1]
@@ -202,7 +202,6 @@ std::unique_ptr<core::StabEngine> build_engine(const Args& a) {
   // Wall-clock knobs only — traces are identical at any value (DESIGN.md D6).
   const std::size_t workers = std::max<std::size_t>(1, a.get_u64("workers", 1));
   if (workers > 1) eng->set_worker_threads(workers);
-  if (a.has("fast-forward")) eng->set_idle_fast_forward(true);
   std::printf("hosts=%zu guests=%llu family=%s target=%s seed=%llu delay=%u"
               " workers=%zu\n",
               n_hosts, static_cast<unsigned long long>(n_guests),
@@ -606,7 +605,7 @@ int cmd_describe(const Args& a) {
 
 // Flags shared by every engine-building subcommand.
 #define CHS_ENGINE_FLAGS "n", "N", "family", "seed", "target", "delay", \
-                         "max-rounds", "workers", "fast-forward"
+                         "max-rounds", "workers"
 
 }  // namespace
 
