@@ -1,6 +1,9 @@
 // Protocol glue: per-round step ordering, message dispatch, fragment caches,
 // edge classification/hygiene, and the sim::Engine interface.
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "stabilizer/protocol.hpp"
 #include "util/log.hpp"
@@ -148,15 +151,10 @@ GuestId Protocol::topmost_entry(const HostState& st) const {
   return best;
 }
 
-std::vector<NodeId> Protocol::structural_neighbors(const HostState& st) const {
-  std::vector<NodeId> out;
-  structural_neighbors(st, out);
-  return out;
-}
-
 void Protocol::structural_neighbors(const HostState& st,
                                     std::vector<NodeId>& out) const {
   out.clear();
+  out.reserve(st.boundary_host.size() + st.parent_host.size() + 2);
   for (const auto& [pos, host] : st.boundary_host) {
     (void)pos;
     out.push_back(host);
@@ -171,27 +169,9 @@ void Protocol::structural_neighbors(const HostState& st,
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }
 
-NodeId Protocol::deletion_certificate(
-    Ctx& ctx, NodeId v, const std::vector<NodeId>& structural) const {
-  // Connectivity certificate: some structural neighbor w currently reports
-  // v as its own neighbor, so dropping (me, v) leaves the path me-w-v.
-  // The views are one round stale, so the certificate alone is NOT safe:
-  // a concurrent churn event or another node's deletion can remove a
-  // certificate edge in the same round, and committing this delete anyway
-  // can isolate v (fuzzer repro: examples/scenarios/cert-race-disconnect).
-  // The witness w is therefore returned with the disconnect request and
-  // the engine re-validates the path me-w-v against the live graph at
-  // apply time, dropping the delete if it has vanished.
-  for (NodeId w : structural) {
-    if (w == v || !ctx.is_neighbor(w)) continue;
-    const auto view = ctx.view(w);
-    if (view && view->has_neighbor(v)) return w;
-  }
-  return kNone;
-}
-
-std::vector<NodeId> Protocol::external_neighbors(Ctx& ctx) const {
-  std::vector<NodeId> out;
+const std::vector<NodeId>& Protocol::external_neighbors(Ctx& ctx) const {
+  thread_local std::vector<NodeId> out;  // per-call scratch (DESIGN.md D6)
+  out.clear();
   const HostState& st = ctx.state();
   const auto& nbrs = ctx.neighbors();
   for (std::size_t k = 0; k < nbrs.size(); ++k) {
@@ -204,7 +184,12 @@ void Protocol::classify_and_clean_edges(Ctx& ctx) {
   HostState& st = ctx.state();
   if (st.phase != Phase::kCbt) return;  // DONE prune handles the rest
   if (st.merge.stage != MergeStage::kNone) return;
-  const auto structural = structural_neighbors(st);
+  // Per-call scratch (DESIGN.md D6), rewritten below before any read.
+  thread_local std::vector<NodeId> structural;
+  thread_local std::vector<std::pair<NodeId, std::span<const NodeId>>>
+      witnesses;
+  structural_neighbors(st, structural);
+  bool witnesses_ready = false;
   const auto& nbrs = ctx.neighbors();
   for (std::size_t k = 0; k < nbrs.size(); ++k) {
     const NodeId v = nbrs[k];
@@ -224,8 +209,42 @@ void Protocol::classify_and_clean_edges(Ctx& ctx) {
     // new structure mirrors, or via external corruption, which republishes
     // before the next round (DESIGN.md D4).
     if (view->considers_structural(st.id)) continue;
-    if (const NodeId w = deletion_certificate(ctx, v, structural); w != kNone)
-      ctx.disconnect(v, "protocol-d0", w);
+    // Connectivity certificate: some structural neighbor w currently
+    // reports v as its own neighbor, so dropping (me, v) leaves the path
+    // me-w-v. The views are one round stale, so the certificate alone is
+    // NOT safe: a concurrent churn event or another node's deletion can
+    // remove a certificate edge in the same round, and committing this
+    // delete anyway can isolate v (fuzzer repro:
+    // examples/scenarios/cert-race-disconnect). The witness w is therefore
+    // sent with the disconnect request and the engine re-validates the
+    // path me-w-v against the live graph at apply time, dropping the
+    // delete if it has vanished.
+    //
+    // The candidate witnesses are the structural neighbors that are
+    // neighbors (both lists sorted), with their views, resolved at the
+    // first junk edge. v is not structural, so no witness is v itself.
+    if (!witnesses_ready) {
+      witnesses.clear();
+      std::size_t i = 0, j = 0;
+      while (i < structural.size() && j < nbrs.size()) {
+        if (structural[i] < nbrs[j]) {
+          ++i;
+        } else if (nbrs[j] < structural[i]) {
+          ++j;
+        } else {
+          witnesses.emplace_back(nbrs[j], ctx.view_at(j)->nbrs);
+          ++i;
+          ++j;
+        }
+      }
+      witnesses_ready = true;
+    }
+    for (const auto& [w, w_nbrs] : witnesses) {
+      if (std::binary_search(w_nbrs.begin(), w_nbrs.end(), v)) {
+        ctx.disconnect(v, "protocol-d0", w);
+        break;
+      }
+    }
   }
 }
 
@@ -253,13 +272,17 @@ void Protocol::step_impl(Ctx& ctx) {
 
   // Dispatch the inbox in variant-order priority (control before data), then
   // by arrival. A reset mid-dispatch invalidates the remaining messages.
-  std::vector<const sim::Envelope<Message>*> order;
-  order.reserve(ctx.inbox().size());
-  for (const auto& env : ctx.inbox()) order.push_back(&env);
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto* a, const auto* b) {
-                     return a->msg.index() < b->msg.index();
-                   });
+  // The order is a stable insertion sort into per-call scratch (DESIGN.md
+  // D6); inboxes are short, so it beats a sort that allocates a buffer.
+  thread_local std::vector<const sim::Envelope<Message>*> order;
+  order.clear();
+  for (const auto& env : ctx.inbox()) {
+    auto at = order.end();
+    while (at != order.begin() && (*(at - 1))->msg.index() > env.msg.index()) {
+      --at;
+    }
+    order.insert(at, &env);
+  }
   const std::uint64_t resets_before = st.resets;
   for (const auto* env : order) {
     dispatch(ctx, *env);

@@ -139,19 +139,16 @@ class Protocol {
   GuestId entry_of(const HostState& st, GuestId pos) const;
   /// Entry of minimum depth (the fragment the host's own payload rides on).
   GuestId topmost_entry(const HostState& st) const;
-  /// Structural neighbors in phase kCbt: boundary + parent + succ + pred.
-  std::vector<NodeId> structural_neighbors(const HostState& st) const;
-  /// In-place variant (sorted, deduped into `out`): publish() runs once per
-  /// dirty node per round and must reuse the snapshot's buffer.
+  /// Structural neighbors in phase kCbt: boundary + parent + succ + pred,
+  /// sorted and deduped into `out`, whose buffer is reused.
   void structural_neighbors(const HostState& st, std::vector<NodeId>& out) const;
-  /// Returns the certificate witness w (path me-w-v in current views), or
-  /// kNone when no certificate exists. `structural` is the caller's
-  /// structural_neighbors(ctx.state()). The engine re-validates the path at
-  /// apply time — see Ctx::disconnect's witness parameter.
-  NodeId deletion_certificate(Ctx& ctx, NodeId v,
-                              const std::vector<NodeId>& structural) const;
+  /// Delete same-cluster edges neither end counts as structural, each with
+  /// a certificate witness w (path me-w-v in current views) that the engine
+  /// re-validates at apply time — see Ctx::disconnect's witness parameter.
   void classify_and_clean_edges(Ctx& ctx);
-  std::vector<NodeId> external_neighbors(Ctx& ctx) const;
+  /// Neighbors in another cluster. The list is per-thread scratch: valid
+  /// until this thread's next call.
+  const std::vector<NodeId>& external_neighbors(Ctx& ctx) const;
 
   // --- detector.cpp (§4.4, Definition 3, Lemmas 1-2) ---
   bool check_local(Ctx& ctx) const;

@@ -191,7 +191,7 @@ void Protocol::fragment_completed(Ctx& ctx, const WaveMeta& meta, GuestId entry)
   // Kind-specific own contributions, attributed to a deterministic fragment
   // so they are counted exactly once per host.
   if (meta.id.kind == WaveKind::kPoll && entry == topmost_entry(st)) {
-    const auto externals = external_neighbors(ctx);
+    const auto& externals = external_neighbors(ctx);
     fw.agg.ext_count += externals.size();
     if (!externals.empty()) {
       const NodeId pick = externals[ctx.rng().next_below(externals.size())];

@@ -9,10 +9,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace chs::util {
 
@@ -33,36 +32,45 @@ class IntervalMap {
   };
 
   /// Insert [lo, hi) -> value, overwriting any overlapped portions of
-  /// existing intervals (splitting them as needed).
+  /// existing intervals (splitting them as needed). Splices in place: the
+  /// run of entries overlapping or touching [lo, hi) is replaced by at most
+  /// three pieces (left flank, new interval, right flank), with a flank of
+  /// the same value merged into the new interval. Entries beyond the run
+  /// neither touch it nor change, so the vector stays canonical.
   void assign(std::uint64_t lo, std::uint64_t hi, V value) {
     if (lo >= hi) return;
-    std::vector<Entry> next;
-    next.reserve(entries_.size() + 2);
-    bool inserted = false;
-    auto push_new = [&] {
-      if (!inserted) {
-        next.push_back(Entry{lo, hi, std::move(value)});
-        inserted = true;
+    const auto first = std::partition_point(
+        entries_.begin(), entries_.end(),
+        [lo](const Entry& e) { return e.hi < lo; });
+    const auto last = std::partition_point(
+        first, entries_.end(), [hi](const Entry& e) { return e.lo <= hi; });
+    Entry pieces[3];
+    std::size_t n = 0;
+    if (first != last && first->lo < lo) {
+      if (first->value == value) {
+        lo = first->lo;
+      } else {
+        pieces[n++] = Entry{first->lo, lo, first->value};
       }
-    };
-    for (auto& e : entries_) {
-      if (e.hi <= lo) {
-        next.push_back(std::move(e));
-        continue;
-      }
-      if (e.lo >= hi) {
-        push_new();
-        next.push_back(std::move(e));
-        continue;
-      }
-      // Overlap: keep the non-overlapped flanks of e.
-      if (e.lo < lo) next.push_back(Entry{e.lo, lo, e.value});
-      push_new();
-      if (e.hi > hi) next.push_back(Entry{hi, e.hi, e.value});
     }
-    push_new();
-    entries_ = std::move(next);
-    coalesce();
+    const std::size_t mid = n++;
+    if (first != last && std::prev(last)->hi > hi) {
+      const Entry& back = *std::prev(last);
+      if (back.value == value) {
+        hi = back.hi;
+      } else {
+        pieces[n++] = Entry{hi, back.hi, back.value};
+      }
+    }
+    pieces[mid] = Entry{lo, hi, std::move(value)};
+    const auto at = first - entries_.begin();
+    const auto have = static_cast<std::size_t>(last - first);
+    if (have < n) {
+      entries_.insert(last, n - have, pieces[0]);  // overwritten below
+    } else {
+      entries_.erase(first + n, last);
+    }
+    std::move(pieces, pieces + n, entries_.begin() + at);
   }
 
   /// Entry covering point p, if any (for boundary-aligned iteration).
@@ -132,25 +140,7 @@ class IntervalMap {
   }
 
  private:
-  void coalesce() {
-    if (entries_.empty()) return;
-    std::vector<Entry> next;
-    next.reserve(entries_.size());
-    next.push_back(std::move(entries_.front()));
-    for (std::size_t i = 1; i < entries_.size(); ++i) {
-      Entry& prev = next.back();
-      Entry& cur = entries_[i];
-      CHS_DCHECK(prev.hi <= cur.lo);
-      if (prev.hi == cur.lo && prev.value == cur.value) {
-        prev.hi = cur.hi;
-      } else {
-        next.push_back(std::move(cur));
-      }
-    }
-    entries_ = std::move(next);
-  }
-
-  std::vector<Entry> entries_;  // sorted by lo, disjoint
+  std::vector<Entry> entries_;  // sorted by lo, disjoint, coalesced
 };
 
 }  // namespace chs::util

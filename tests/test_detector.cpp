@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "core/network.hpp"
 #include "graph/generators.hpp"
@@ -212,6 +214,88 @@ TEST(Detector, CheckThreeFailuresKeepTheirOwnFaultLine) {
   EXPECT_NE(non_neighbor, 0);
   EXPECT_NE(cluster_mismatch, 0);
   EXPECT_NE(non_neighbor, cluster_mismatch);
+}
+
+TEST(Detector, JunkEdgeIsDeletedOnlyWithACertificate) {
+  // Edge hygiene in phase CBT: an edge u-v inside one cluster that neither
+  // end counts as structural is junk, but u deletes it only when some
+  // structural neighbor w of u lists v in its view (the path u-w-v keeps
+  // the graph connected). Each removal reaches the round observer with its
+  // disconnect site.
+  auto eng = legal_cbt_engine(64, 16, Phase::kCbt);
+  const auto& g = eng->graph();
+  const auto structural = [&](NodeId id) {
+    std::vector<NodeId> out;
+    eng->protocol().structural_neighbors(eng->state(id), out);
+    return out;
+  };
+  const auto lists = [](const std::vector<NodeId>& xs, NodeId x) {
+    return std::find(xs.begin(), xs.end(), x) != xs.end();
+  };
+  const auto adjacent_to_any = [&](const std::vector<NodeId>& xs, NodeId v) {
+    return std::any_of(xs.begin(), xs.end(),
+                       [&](NodeId x) { return g.has_edge(x, v); });
+  };
+  // u below w and v, so u's delete applies first within a round; u-v and
+  // w-v are junk at both ends, and no certificate exists for u-v at either
+  // end until w-v appears.
+  NodeId u = stabilizer::kNone, v = stabilizer::kNone, w = stabilizer::kNone;
+  for (NodeId cu : g.ids()) {
+    const auto su = structural(cu);
+    for (NodeId cw : su) {
+      if (cw < cu) continue;
+      const auto sw = structural(cw);
+      for (NodeId cv : g.ids()) {
+        if (cv <= cu || cv == cw || g.has_edge(cu, cv) || g.has_edge(cw, cv)) {
+          continue;
+        }
+        const auto sv = structural(cv);
+        if (lists(su, cv) || lists(sw, cv) || lists(sv, cu) || lists(sv, cw)) {
+          continue;
+        }
+        if (adjacent_to_any(su, cv) || adjacent_to_any(sv, cu)) continue;
+        u = cu;
+        v = cv;
+        w = cw;
+        break;
+      }
+      if (u != stabilizer::kNone) break;
+    }
+    if (u != stabilizer::kNone) break;
+  }
+  ASSERT_NE(u, stabilizer::kNone) << "no host triple fits";
+
+  std::vector<sim::EdgeDelta> removals;
+  eng->set_round_observer([&](std::uint64_t, std::span<const graph::NodeIndex>,
+                              std::span<const sim::EdgeDelta> deltas) {
+    for (const auto& d : deltas) {
+      if (d.removed) removals.push_back(d);
+    }
+  });
+
+  ASSERT_TRUE(eng->inject_edge(u, v));
+  for (int r = 0; r < 4; ++r) eng->step_round();
+  EXPECT_TRUE(eng->graph().has_edge(u, v)) << "deleted without a witness";
+  EXPECT_TRUE(removals.empty());
+  // Nor was a delete requested: the engine's apply-time path check would
+  // have dropped one without a live u-w-v path, hiding a missing certificate.
+  EXPECT_EQ(eng->metrics().stale_cert_drops(), 0u);
+  EXPECT_EQ(eng->state(u).phase, Phase::kCbt);
+
+  // w's view lists v from the next round on: w publishes the neighbor list
+  // its next step would publish anyway.
+  ASSERT_TRUE(eng->inject_edge(w, v));
+  eng->state_mut(w).nbrs = eng->graph().neighbors(w);
+  eng->republish(w);
+  eng->step_round();
+  EXPECT_FALSE(eng->graph().has_edge(u, v));
+  const auto it = std::find_if(
+      removals.begin(), removals.end(), [&](const sim::EdgeDelta& d) {
+        return std::minmax(d.u, d.v) == std::minmax(u, v);
+      });
+  ASSERT_NE(it, removals.end());
+  EXPECT_STREQ(it->site, "protocol-d0");
+  EXPECT_EQ(core::total_resets(*eng), 0u);
 }
 
 TEST(Detector, PhaseMixtureInfectsToCbt) {

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "util/bitops.hpp"
 #include "util/interval_map.hpp"
@@ -186,15 +187,34 @@ TEST(IntervalMap, CoversDetectsGaps) {
   EXPECT_TRUE(m.covers(0, 30));
 }
 
-TEST(IntervalMap, RandomizedAgainstReferenceMap) {
+// The maximal equal-value runs of a point map: the canonical entry list
+// (sorted, disjoint, no two touching entries with one value) that an
+// IntervalMap holding the same points must have, and the bytes it persists.
+std::vector<util::IntervalMap<int>::Entry> canonical_runs(
+    const std::map<std::uint64_t, int>& ref) {
+  std::vector<util::IntervalMap<int>::Entry> runs;
+  for (const auto& [p, v] : ref) {
+    if (!runs.empty() && runs.back().hi == p && runs.back().value == v) {
+      ++runs.back().hi;
+    } else {
+      runs.push_back({p, p + 1, v});
+    }
+  }
+  return runs;
+}
+
+// Random ops over [0, 200) checked against a point map after every op: each
+// sampled point's value, and the whole entry list against canonical_runs.
+// `erase_too` mixes erases in; `values` sets how often neighbors share one.
+void run_against_reference(std::uint64_t seed, bool erase_too, int values) {
   util::IntervalMap<int> m;
   std::map<std::uint64_t, int> ref;  // point -> value over [0, 200)
-  util::Rng rng(123);
+  util::Rng rng(seed);
   for (int step = 0; step < 300; ++step) {
     std::uint64_t a = rng.next_below(200), b = rng.next_below(200);
     if (a > b) std::swap(a, b);
-    const int v = static_cast<int>(rng.next_below(5));
-    if (rng.next_bool()) {
+    const int v = static_cast<int>(rng.next_below(values));
+    if (!erase_too || rng.next_bool()) {
       m.assign(a, b, v);
       for (auto p = a; p < b; ++p) ref[p] = v;
     } else {
@@ -211,7 +231,23 @@ TEST(IntervalMap, RandomizedAgainstReferenceMap) {
         ASSERT_EQ(*got, it->second) << "point " << p << " step " << step;
       }
     }
+    const auto want = canonical_runs(ref);
+    const auto& got = m.entries();
+    ASSERT_EQ(got.size(), want.size()) << "step " << step;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].lo, want[i].lo) << "entry " << i << " step " << step;
+      ASSERT_EQ(got[i].hi, want[i].hi) << "entry " << i << " step " << step;
+      ASSERT_EQ(got[i].value, want[i].value)
+          << "entry " << i << " step " << step;
+    }
   }
+}
+
+TEST(IntervalMap, RandomizedAgainstReferenceMap) {
+  run_against_reference(123, /*erase_too=*/true, /*values=*/5);
+  // Assign only, two values: most assigns land beside an entry of their own
+  // value, so the splice merges on the left, the right, and both sides.
+  run_against_reference(321, /*erase_too=*/false, /*values=*/2);
 }
 
 }  // namespace
